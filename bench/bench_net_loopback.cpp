@@ -90,7 +90,6 @@ sweep_result run_sweep(const sweep_row& row) {
   service_config.default_strategy = election::strategy_kind::adaptive;
   svc::service service(std::move(service_config));
   net::server_config server_config;
-  server_config.executors = 8;
   server_config.reactors = row.reactors;
   server_config.max_inflight_per_connection = 2 * row.pipeline;
   net::server server(service, std::move(server_config));
@@ -268,7 +267,6 @@ fanout_result run_fanout(int want_watchers, int rounds) {
   service_config.default_strategy = election::strategy_kind::adaptive;
   svc::service service(std::move(service_config));
   net::server_config server_config;
-  server_config.executors = 4;
   server_config.max_connections = watchers + 64;
   server_config.max_watches_per_connection = 4;
   net::server server(service, std::move(server_config));

@@ -20,6 +20,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "exp/table.hpp"
 #include "obs/prom.hpp"
 #include "obs/trace.hpp"
 
@@ -49,83 +50,38 @@ std::uint64_t lease_remaining_ms(
 }
 
 /// Write the whole buffer to a non-blocking socket, parking on POLLOUT
-/// when the send buffer is full. Only the HTTP side-channel still uses
-/// this (a scrape response is one small buffered write); wire frames go
-/// through the per-connection output rings and writev.
-bool write_all(int fd, const std::uint8_t* data, std::size_t n,
-               const std::atomic<bool>& stopping,
-               const std::chrono::steady_clock::time_point* deadline =
-                   nullptr) {
+/// when the send buffer is full, until `deadline`. Only the HTTP
+/// side-channel uses this (a scrape response is one small buffered
+/// write); wire frames go through the per-connection output rings.
+void write_all(int fd, const std::string& data,
+               std::chrono::steady_clock::time_point deadline) {
   std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t wrote = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
+  while (sent < data.size() && std::chrono::steady_clock::now() < deadline) {
+    const ssize_t wrote =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (wrote > 0) {
       sent += static_cast<std::size_t>(wrote);
-      continue;
-    }
-    if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    } else if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       pollfd pfd{fd, POLLOUT, 0};
       (void)::poll(&pfd, 1, 100);
-      if (stopping.load(std::memory_order_relaxed)) return false;
-      if (deadline != nullptr &&
-          std::chrono::steady_clock::now() >= *deadline) {
-        return false;
-      }
-      continue;
+    } else if (wrote >= 0 || errno != EINTR) {
+      return;
     }
-    if (wrote < 0 && errno == EINTR) continue;
-    return false;
   }
-  return true;
 }
 
-/// Records the server-side `serve` span for a traced request and runs
-/// the slow-request check when it ends. Destructor-driven so every
-/// early return in serve()/serve_blocking() is covered, and the span
-/// exists in the ring *before* the capture formats the trace.
-class serve_trace {
- public:
-  serve_trace(std::uint64_t trace, wire::op kind) noexcept
-      : trace_(trace), kind_(kind),
-        start_(trace != 0 ? obs::now_ns() : 0) {}
-
-  serve_trace(const serve_trace&) = delete;
-  serve_trace& operator=(const serve_trace&) = delete;
-
-  ~serve_trace() {
-    if (trace_ == 0) return;
-    const std::uint64_t end = obs::now_ns();
-    obs::record_for(trace_, obs::phase::serve, start_, end);
-    std::string label = "serve ";
-    label += wire::to_string(kind_);
-    (void)obs::maybe_capture_slow(
-        trace_, std::chrono::nanoseconds(end - start_), label);
-  }
-
- private:
-  std::uint64_t trace_;
-  wire::op kind_;
-  std::uint64_t start_;
-};
-
-void json_escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+/// Records the server-side `serve` span for a traced request (from the
+/// read that decoded it to the answer being queued) and runs the
+/// slow-request check, with the span already in the ring when the
+/// capture formats the trace.
+void record_serve(std::uint64_t trace, wire::op kind, std::uint64_t start) {
+  if (trace == 0) return;
+  const std::uint64_t end = obs::now_ns();
+  obs::record_for(trace, obs::phase::serve, start, end);
+  std::string label = "serve ";
+  label += wire::to_string(kind);
+  (void)obs::maybe_capture_slow(trace, std::chrono::nanoseconds(end - start),
+                                label);
 }
 
 /// One key_inspection as the JSON object the admin ops return.
@@ -133,7 +89,7 @@ void json_escape_into(std::string& out, std::string_view s) {
 std::string inspection_json(const svc::key_inspection& k) {
   std::string out;
   out += "{\"key\":\"";
-  json_escape_into(out, k.key);
+  out += exp::json_escape(k.key);
   out += "\",\"epoch\":";
   out += std::to_string(k.entry.epoch);
   out += ",\"leader\":";
@@ -226,50 +182,38 @@ void render_net_prometheus(std::string& out, const net_report& r) {
   // Per-reactor slices. The labels are the operational interface for
   // spotting a hot or idle reactor; frames_flushed / writev is the
   // coalesce ratio, per reactor.
-  obs::prom_type_line(out, "elect_net_reactor_connections",
-                      "Open connections pinned to each reactor.", "gauge");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_connections", "reactor",
-                      std::to_string(s.index), s.connections);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_accepted_total",
-                      "Connections accepted (or adopted) per reactor.",
-                      "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_accepted_total", "reactor",
-                      std::to_string(s.index), s.accepted);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_wakeups_total",
-                      "Eventfd wakeups per reactor.", "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_wakeups_total", "reactor",
-                      std::to_string(s.index), s.wakeups);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_writev_total",
-                      "writev flush calls per reactor.", "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_writev_total", "reactor",
-                      std::to_string(s.index), s.writev_calls);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_frames_flushed_total",
-                      "Frames flushed per reactor.", "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_frames_flushed_total",
-                      "reactor", std::to_string(s.index), s.frames_flushed);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_drain_batches_total",
-                      "Flush passes that wrote at least one frame, per "
-                      "reactor.",
-                      "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_drain_batches_total",
-                      "reactor", std::to_string(s.index), s.drain_batches);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_requests_total",
-                      "Requests decoded per reactor.", "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_requests_total", "reactor",
-                      std::to_string(s.index), s.requests);
+  using stat = net_report::reactor_stat;
+  struct series {
+    const char* name;
+    const char* help;
+    const char* type;
+    std::uint64_t stat::*field;
+  };
+  static constexpr series per_reactor[] = {
+      {"elect_net_reactor_connections",
+       "Open connections pinned to each reactor.", "gauge",
+       &stat::connections},
+      {"elect_net_reactor_accepted_total",
+       "Connections accepted (or adopted) per reactor.", "counter",
+       &stat::accepted},
+      {"elect_net_reactor_wakeups_total", "Eventfd wakeups per reactor.",
+       "counter", &stat::wakeups},
+      {"elect_net_reactor_writev_total", "writev flush calls per reactor.",
+       "counter", &stat::writev_calls},
+      {"elect_net_reactor_frames_flushed_total",
+       "Frames flushed per reactor.", "counter", &stat::frames_flushed},
+      {"elect_net_reactor_drain_batches_total",
+       "Flush passes that wrote at least one frame, per reactor.", "counter",
+       &stat::drain_batches},
+      {"elect_net_reactor_requests_total", "Requests decoded per reactor.",
+       "counter", &stat::requests},
+  };
+  for (const series& m : per_reactor) {
+    obs::prom_type_line(out, m.name, m.help, m.type);
+    for (const stat& s : r.per_reactor) {
+      obs::prom_labeled(out, m.name, "reactor", std::to_string(s.index),
+                        s.*m.field);
+    }
   }
 }
 
@@ -365,7 +309,6 @@ server::connection::~connection() {
 
 server::server(svc::service& service, server_config config)
     : service_(service), config_(std::move(config)) {
-  ELECT_CHECK(config_.executors >= 1);
   ELECT_CHECK(config_.max_waiters >= 1);
   ELECT_CHECK(config_.max_inflight_per_connection >= 1);
 
@@ -460,40 +403,17 @@ server::server(svc::service& service, server_config config)
     // bytes each way, not worth a listener per reactor. Failure to bind
     // degrades to "no HTTP" (http_listening() false) rather than taking
     // the wire listeners down with it.
-    const int one = 1;
-    http_listen_fd_ =
-        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (http_listen_fd_ >= 0) {
-      (void)::setsockopt(http_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                         sizeof one);
-      sockaddr_in haddr{};
-      haddr.sin_family = AF_INET;
-      haddr.sin_port = htons(config_.http_port);
-      if (::inet_pton(AF_INET, config_.bind_address.c_str(),
-                      &haddr.sin_addr) != 1 ||
-          ::bind(http_listen_fd_, reinterpret_cast<const sockaddr*>(&haddr),
-                 sizeof haddr) != 0 ||
-          ::listen(http_listen_fd_, 64) != 0) {
-        ::close(http_listen_fd_);
-        http_listen_fd_ = -1;
-      } else {
-        sockaddr_in hbound{};
-        socklen_t hbound_len = sizeof hbound;
-        if (::getsockname(http_listen_fd_,
-                          reinterpret_cast<sockaddr*>(&hbound),
-                          &hbound_len) == 0) {
-          http_port_ = ntohs(hbound.sin_port);
-        }
-        epoll_event hev{};
-        hev.events = EPOLLIN;
-        hev.data.fd = http_listen_fd_;
-        if (::epoll_ctl(reactors_[0]->epoll_fd, EPOLL_CTL_ADD,
-                        http_listen_fd_, &hev) != 0) {
-          ::close(http_listen_fd_);
-          http_listen_fd_ = -1;
-          http_port_ = 0;
-        }
-      }
+    http_listen_fd_ = make_listener(config_.bind_address, config_.http_port,
+                                    false, &http_port_);
+    epoll_event hev{};
+    hev.events = EPOLLIN;
+    hev.data.fd = http_listen_fd_;
+    if (http_listen_fd_ >= 0 &&
+        ::epoll_ctl(reactors_[0]->epoll_fd, EPOLL_CTL_ADD, http_listen_fd_,
+                    &hev) != 0) {
+      ::close(http_listen_fd_);
+      http_listen_fd_ = -1;
+      http_port_ = 0;
     }
   }
 
@@ -501,10 +421,6 @@ server::server(svc::service& service, server_config config)
   for (auto& re : reactors_) {
     reactor* rp = re.get();
     re->thread = std::thread([this, rp] { reactor_main(*rp); });
-  }
-  executors_.reserve(static_cast<std::size_t>(config_.executors));
-  for (int i = 0; i < config_.executors; ++i) {
-    executors_.emplace_back([this] { executor_main(); });
   }
 }
 
@@ -518,24 +434,16 @@ void server::stop() {
       re->thread.join();
     }
   }
-  // Reactor teardown finished every connection, so queued work and
-  // parked waiters now see closed connections and drain fast.
-  queue_cv_.notify_all();
-  for (auto& t : executors_) {
-    if (t.joinable()) t.join();
-  }
+  // Every connection is finished, so the completions still in flight
+  // (an election, a commit gate) see closed connections and settle
+  // without the reactors; wait for the last of them.
   {
-    std::unique_lock<std::mutex> lock(waiter_mutex_);
-    waiter_cv_.wait(lock, [this] { return active_waiters_ == 0; });
+    std::unique_lock<std::mutex> lock(ops_mutex_);
+    ops_drained_.wait(lock, [this] { return ops_ == 0; });
   }
   for (auto& re : reactors_) {
-    {
-      const std::lock_guard<std::mutex> lock(re->inbox_mutex);
-      for (const int fd : re->adopt_inbox) ::close(fd);
-      re->adopt_inbox.clear();
-      re->flush_inbox.clear();
-      re->resume_inbox.clear();
-    }
+    for (const int fd : re->adopt_inbox) ::close(fd);
+    re->adopt_inbox.clear();
     if (re->epoll_fd >= 0) ::close(re->epoll_fd);
     if (re->wake_fd >= 0) ::close(re->wake_fd);
     if (re->listen_fd >= 0) ::close(re->listen_fd);
@@ -547,6 +455,18 @@ void server::stop() {
   }
 }
 
+void server::begin_op() {
+  const std::lock_guard<std::mutex> lock(ops_mutex_);
+  ++ops_;
+}
+
+void server::end_op() {
+  // Notify under the lock: stop() destroys the server as soon as it
+  // observes zero, so the cv must not be touched after the unlock.
+  const std::lock_guard<std::mutex> lock(ops_mutex_);
+  if (--ops_ == 0) ops_drained_.notify_all();
+}
+
 // ---------------------------------------------------------------------
 // The reactor loop: accept, drain-and-dispatch, flush, teardown.
 
@@ -555,7 +475,7 @@ void server::reactor_main(reactor& r) {
   epoll_event events[64];
   while (!stopping_.load(std::memory_order_relaxed)) {
     const int ready =
-        ::epoll_wait(r.epoll_fd, events, 64, next_stall_timeout_ms(r));
+        ::epoll_wait(r.epoll_fd, events, 64, next_timeout_ms(r));
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
@@ -567,7 +487,7 @@ void server::reactor_main(reactor& r) {
         std::uint64_t drained = 0;
         (void)!::read(r.wake_fd, &drained, sizeof drained);
         r.wakeups.fetch_add(1, std::memory_order_relaxed);
-        process_inbox(r);
+        (void)process_inbox(r);
         continue;
       }
       if (fd == r.listen_fd) {
@@ -591,47 +511,81 @@ void server::reactor_main(reactor& r) {
       }
       if (r.index == 0 && http_conns_.count(fd) != 0) http_read_ready(r, fd);
     }
-    fire_stalls(r);
+    // What this turn posted to itself runs before the loop sleeps: the
+    // answers a read batch produced leave in one sendmsg.
+    while (process_inbox(r)) {}
+    fire_timers(r);
+    while (process_inbox(r)) {}
   }
-  // Teardown: finish every connection (disconnect-on-close included)
-  // while the map still owns them, and close sockets dealt to us that
-  // we never adopted.
-  {
-    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
-    for (const int fd : r.adopt_inbox) ::close(fd);
-    r.adopt_inbox.clear();
-    r.flush_inbox.clear();
-    r.resume_inbox.clear();
+  // Teardown. Verdicts and resumes already posted are run, and every
+  // blocking acquire still open is answered `rejected` (the final flush
+  // in finish_connection carries the answers; an attempt or resume still
+  // in flight finds its waiter done). Then every connection is finished
+  // (disconnect-on-close included) while the map still owns it. Closing
+  // the inbox makes later posts settle on their own thread.
+  while (process_inbox(r)) {}
+  for (const auto& [fd, conn] : r.connections) {
+    for (const waiter_ptr& w : std::vector<waiter_ptr>(conn->waiters)) {
+      (void)unpark(w);
+      wire::response rejected;
+      rejected.result = wire::status::rejected;
+      answer_waiter(w, std::move(rejected));
+    }
   }
   std::vector<connection_ptr> remaining;
   remaining.reserve(r.connections.size());
   for (const auto& [fd, conn] : r.connections) remaining.push_back(conn);
   for (const auto& conn : remaining) finish_connection(r, conn);
+  std::vector<waiter_ptr> late;
+  {
+    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
+    r.running = false;
+    late.swap(r.waiter_inbox);
+    r.flush_inbox.clear();
+  }
+  for (const waiter_ptr& w : late) step_waiter(w);
+  r.timers.clear();
   if (r.index == 0) {
     for (const auto& [fd, buffered] : http_conns_) ::close(fd);
     http_conns_.clear();
   }
 }
 
-void server::process_inbox(reactor& r) {
+bool server::process_inbox(reactor& r) {
   std::vector<int> adopts;
-  std::vector<connection_ptr> resumes;
+  std::vector<waiter_ptr> waiters;
   std::vector<connection_ptr> flushes;
   {
     const std::lock_guard<std::mutex> lock(r.inbox_mutex);
     adopts.swap(r.adopt_inbox);
-    resumes.swap(r.resume_inbox);
+    waiters.swap(r.waiter_inbox);
     flushes.swap(r.flush_inbox);
     r.wake_pending = false;
   }
   for (const int fd : adopts) adopt_connection(r, fd);
-  for (const auto& conn : resumes) handle_resume(r, conn);
+  for (const waiter_ptr& w : waiters) step_waiter(w);
   for (const auto& conn : flushes) flush_connection(r, conn);
+  return !(adopts.empty() && waiters.empty() && flushes.empty());
 }
 
 void server::wake(reactor& r) {
   const std::uint64_t one = 1;
   (void)!::write(r.wake_fd, &one, sizeof one);
+}
+
+template <typename Fill>
+bool server::post(reactor& r, Fill&& fill) {
+  bool kick = false;
+  {
+    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
+    if (!r.running) return false;
+    fill();
+    // The reactor drains its inbox before it sleeps, so posting to
+    // itself needs no kick.
+    kick = current_reactor_tls != &r && !std::exchange(r.wake_pending, true);
+  }
+  if (kick) wake(r);
+  return true;
 }
 
 void server::accept_ready(reactor& r) {
@@ -663,16 +617,7 @@ void server::accept_ready(reactor& r) {
       adopt_connection(r, fd);
       continue;
     }
-    bool kick = false;
-    {
-      const std::lock_guard<std::mutex> lock(target.inbox_mutex);
-      target.adopt_inbox.push_back(fd);
-      if (!target.wake_pending) {
-        target.wake_pending = true;
-        kick = true;
-      }
-    }
-    if (kick) wake(target);
+    if (!post(target, [&] { target.adopt_inbox.push_back(fd); })) ::close(fd);
   }
 }
 
@@ -707,7 +652,7 @@ void server::read_ready(reactor& r, const connection_ptr& conn) {
   std::uint8_t buffer[64 * 1024];
   bool dead = conn->closed.load(std::memory_order_relaxed);
   bool drained = dead;
-  std::vector<pending> batch;
+  bool served = false;
   while (!dead) {
     const ssize_t got = ::recv(conn->fd, buffer, sizeof buffer, 0);
     if (got > 0) {
@@ -729,10 +674,10 @@ void server::read_ready(reactor& r, const connection_ptr& conn) {
       drained = true;
     }
 
-    // Decode everything this bite completed. Dead connections still
-    // parse: requests already received alongside an EOF are served (the
-    // client pipelined then closed; its last responses are moot, but a
-    // won lease must be reclaimed — see serve/serve_blocking).
+    // Decode and serve everything this bite completed. Dead connections
+    // still parse: requests already received alongside an EOF are
+    // served (the client pipelined then closed; its last responses are
+    // moot, but a won lease must be reclaimed — see serve).
     while (auto frame = conn->reader.next()) {
       counters_.frames_in.fetch_add(1, std::memory_order_relaxed);
       auto req = wire::decode_request(*frame);
@@ -760,12 +705,8 @@ void server::read_ready(reactor& r, const connection_ptr& conn) {
       counters_.requests.fetch_add(1, std::memory_order_relaxed);
       r.requests.fetch_add(1, std::memory_order_relaxed);
       conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-      if (req->kind == wire::op::acquire ||
-          req->kind == wire::op::try_acquire_for) {
-        dispatch(conn, std::move(*req));  // waiter spawn / busy
-      } else {
-        batch.push_back(pending{conn, std::move(*req)});
-      }
+      served = true;
+      serve(r, conn, std::move(*req));
     }
     if (drained) break;
     // At the cap: stop reading; maybe_pause below parks the socket.
@@ -775,17 +716,8 @@ void server::read_ready(reactor& r, const connection_ptr& conn) {
     }
   }
 
-  if (!batch.empty()) {
+  if (served) {
     counters_.dispatch_batches.fetch_add(1, std::memory_order_relaxed);
-    {
-      const std::lock_guard<std::mutex> lock(queue_mutex_);
-      for (auto& p : batch) queue_.push_back(std::move(p));
-    }
-    if (batch.size() > 1) {
-      queue_cv_.notify_all();
-    } else {
-      queue_cv_.notify_one();
-    }
   }
 
   if (dead) {
@@ -793,37 +725,6 @@ void server::read_ready(reactor& r, const connection_ptr& conn) {
   } else {
     maybe_pause(r, conn);
   }
-}
-
-// Blocking ops only: spawn a bounded waiter thread, or answer busy.
-void server::dispatch(const connection_ptr& conn, wire::request req) {
-  {
-    const std::lock_guard<std::mutex> lock(waiter_mutex_);
-    if (active_waiters_ < config_.max_waiters &&
-        !stopping_.load(std::memory_order_relaxed)) {
-      ++active_waiters_;
-      pending p{conn, std::move(req)};
-      // Detached, but stop() blocks on active_waiters_ reaching zero,
-      // so no waiter outlives the server.
-      std::thread([this, p = std::move(p)] {
-        serve_blocking(p);
-        // Notify under the mutex: stop() waits on this cv with the
-        // same mutex and destroys it right after the count hits zero,
-        // so a notify outside the lock could land on a dead cv.
-        const std::lock_guard<std::mutex> inner(waiter_mutex_);
-        --active_waiters_;
-        waiter_cv_.notify_all();
-      }).detach();
-      return;
-    }
-  }
-  counters_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
-  wire::response busy;
-  busy.id = req.id;
-  busy.kind = req.kind;
-  busy.result = wire::status::busy;
-  send_response(conn, busy);
-  complete(conn);
 }
 
 void server::handle_handshake(const connection_ptr& conn,
@@ -861,29 +762,9 @@ void server::protocol_error(const connection_ptr& conn,
 }
 
 // ---------------------------------------------------------------------
-// Request execution.
-
-void server::executor_main() {
-  for (;;) {
-    pending p;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_relaxed) || !queue_.empty();
-      });
-      if (queue_.empty()) return;  // stopping and drained
-      p = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    serve(p);
-  }
-}
-
-wire::response server::acquire_response(const wire::request& req,
-                                        const svc::acquire_result& result) {
+// Request execution: everything starts on the reactor that decoded it.
+wire::response server::acquire_response(const svc::acquire_result& result) {
   wire::response r;
-  r.id = req.id;
-  r.kind = req.kind;
   r.epoch = result.epoch;
   if (result.rejected) {
     // A cluster primary that lost its quorum fails the commit gate:
@@ -904,17 +785,37 @@ wire::response server::acquire_response(const wire::request& req,
   return r;
 }
 
-void server::serve(const pending& p) {
-  svc::service::session& session = *p.conn->session;
-  const wire::request& req = p.req;
+wire::response server::redirect(const wire::request& req) const {
+  wire::response r;
+  r.id = req.id;
+  r.kind = req.kind;
+  r.result = wire::status::not_primary;
+  r.body = config_.cluster.primary_hint();
+  return r;
+}
+
+void server::reply(const call& c, wire::response r) {
+  r.id = c.id;
+  r.kind = c.kind;
+  complete(c.conn);  // first: the answer's flush then sees the slot free
+  send_response(c.conn, r);
+  record_serve(c.trace, c.kind, c.start);
+}
+
+void server::serve(reactor& re, const connection_ptr& conn,
+                   wire::request req) {
   // The v3 frame carried the client's trace id: serve under it so the
   // service-layer spans (fast path, queue wait, election, lease ops)
   // land in the same trace the client minted.
   const obs::trace_scope trace(req.trace_id);
-  const serve_trace timing(req.trace_id, req.kind);
+  if (req.kind == wire::op::acquire ||
+      req.kind == wire::op::try_acquire_for) {
+    start_waiter(re, conn, std::move(req));
+    return;
+  }
+  const call c{conn, req.id, req.kind, req.trace_id,
+               req.trace_id != 0 ? obs::now_ns() : 0};
   wire::response r;
-  r.id = req.id;
-  r.kind = req.kind;
   if (config_.cluster.enabled()) {
     switch (req.kind) {
       case wire::op::peer_vote:
@@ -922,8 +823,7 @@ void server::serve(const pending& p) {
       case wire::op::peer_snapshot:
         // Replication traffic: straight to the repl node, no session
         // semantics involved.
-        send_response(p.conn, config_.cluster.peer(req));
-        complete(p.conn);
+        reply(c, config_.cluster.peer(req));
         return;
       case wire::op::try_acquire:
       case wire::op::release:
@@ -935,10 +835,7 @@ void server::serve(const pending& p) {
         // nothing, so serving it locally is correct — and the implicit
         // disconnect on socket close has no one to redirect anyway.)
         if (!config_.cluster.is_primary()) {
-          r.result = wire::status::not_primary;
-          r.body = config_.cluster.primary_hint();
-          send_response(p.conn, r);
-          complete(p.conn);
+          reply(c, redirect(req));
           return;
         }
         break;
@@ -946,53 +843,73 @@ void server::serve(const pending& p) {
         break;
     }
   }
-  switch (req.kind) {
-    case wire::op::try_acquire: {
-      const svc::acquire_result result = session.try_acquire(req.key);
-      if (result.won &&
-          p.conn->closed.load(std::memory_order_relaxed)) {
-        // The request rode in alongside the connection's EOF (or the
-        // close raced us): disconnect-on-close already ran, so this
-        // fresh win has nobody behind it — hand it straight back
-        // instead of orphaning the key. The shard mutex orders the
-        // win against finish_connection's reclaim scan, so a win
-        // the scan could not see always observes closed here.
-        (void)session.reclaim(req.key, result.epoch);
-        counters_.disconnect_reclaims.fetch_add(1,
-                                                std::memory_order_relaxed);
-        complete(p.conn);
-        return;
-      }
-      r = acquire_response(req, result);
-      break;
+  svc::service::session& session = *conn->session;
+  // Counted until answered: an election on a pool node or a
+  // commit-gated ack completes after this returns.
+  begin_op();
+  const auto on_status = [this, c](svc::lease_status status) {
+    wire::response out;
+    out.result = wire::from_lease_status(status);
+    if (c.kind == wire::op::renew && out.result == wire::status::ok) {
+      // A successful renew re-arms the full TTL; telling the client the
+      // refreshed budget is what lets a remote auto-renewing lease
+      // (api::lease) schedule its next heartbeat without a second
+      // round-trip.
+      const std::uint64_t ttl_ms = service_.config().lease_ttl_ms;
+      out.lease_remaining_ms = ttl_ms == 0 ? wire::lease_forever : ttl_ms;
     }
+    reply(c, std::move(out));
+    end_op();
+  };
+  switch (req.kind) {
+    case wire::op::try_acquire:
+      session.try_acquire(req.key, [this, c, key = req.key](
+                                       const svc::acquire_result& result) {
+        if (result.won && c.conn->closed.load(std::memory_order_relaxed)) {
+          // Rode in alongside the connection's EOF (or the close raced
+          // us). The shard mutex orders the win against
+          // finish_connection's reclaim scan, so a win the scan could
+          // not see always observes closed here.
+          reclaim_late_win(*c.conn, key, result.epoch);
+          complete(c.conn);
+        } else {
+          reply(c, acquire_response(result));
+        }
+        end_op();
+      });
+      return;
     case wire::op::release:
-      r.result = wire::from_lease_status(session.release(req.key));
-      break;
+      session.release(req.key, on_status);
+      return;
     case wire::op::release_fenced:
-      r.result =
-          wire::from_lease_status(session.release(req.key, req.epoch));
-      break;
+      session.release(req.key, req.epoch, on_status);
+      return;
     case wire::op::renew:
-      r.result = wire::from_lease_status(session.renew(req.key, req.epoch));
-      if (r.result == wire::status::ok) {
-        // A successful renew re-arms the full TTL; telling the client
-        // the refreshed budget is what lets a remote auto-renewing
-        // lease (api::lease) schedule its next heartbeat without a
-        // second round-trip.
-        const std::uint64_t ttl_ms = service_.config().lease_ttl_ms;
-        r.lease_remaining_ms = ttl_ms == 0 ? wire::lease_forever : ttl_ms;
+      session.renew(req.key, req.epoch, on_status);
+      return;
+    case wire::op::disconnect:
+      session.disconnect([this, c](std::size_t released) {
+        wire::response out;
+        out.epoch = released;
+        out.result = wire::status::ok;
+        reply(c, std::move(out));
+        end_op();
+      });
+      return;
+    case wire::op::admin_force_release:
+      if (!config_.enable_admin) {
+        r.result = wire::status::denied;
+        break;
       }
-      break;
+      // Through the service, not the registry: the forced-release
+      // counter and the journal's "admin" cause live there.
+      service_.force_release(req.key, on_status);
+      return;
     case wire::op::watch:
-      serve_watch(p, r);
+      serve_watch(conn, req, r);
       break;
     case wire::op::unwatch:
-      serve_unwatch(p, r);
-      break;
-    case wire::op::disconnect:
-      r.epoch = session.disconnect();
-      r.result = wire::status::ok;
+      serve_unwatch(conn, req, r);
       break;
     case wire::op::metrics:
       r.body = report_json();
@@ -1015,32 +932,31 @@ void server::serve(const pending& p) {
       break;
     case wire::op::admin_list:
     case wire::op::admin_inspect:
-    case wire::op::admin_force_release:
     case wire::op::admin_snapshot:
     case wire::op::admin_commands:
-      serve_admin(p, r);
+      serve_admin(req, r);
       break;
     default:
       r.result = wire::status::bad_request;
       break;
   }
-  send_response(p.conn, r);
-  complete(p.conn);
+  reply(c, std::move(r));
+  end_op();
 }
 
 // ---------------------------------------------------------------------
 // The watch router. One hub subscription per watched key; fanout_event
 // fans the hub's callback to every wire subscriber of that key.
 //
-// Lock order: router_mutex_ → out_mutex → pause_mutex, never reversed.
+// Lock order: router_mutex_ → out_mutex, never reversed.
 // service_.watch (hub add) is brief and safe anywhere; service_.unwatch
 // (hub remove) can block until in-flight deliveries finish, and a
 // delivery takes router_mutex_ — so unwatch is NEVER called with
 // router_mutex_ held.
 
-void server::serve_watch(const pending& p, wire::response& r) {
-  const connection_ptr& conn = p.conn;
-  const std::string& key = p.req.key;
+void server::serve_watch(const connection_ptr& conn, const wire::request& req,
+                         wire::response& r) {
+  const std::string& key = req.key;
   std::uint64_t id = 0;
   bool need_subscribe = false;
   {
@@ -1111,32 +1027,37 @@ void server::serve_watch(const pending& p, wire::response& r) {
   r.epoch = id;  // the handle the client passes back to unwatch
 }
 
-void server::serve_unwatch(const pending& p, wire::response& r) {
-  const std::uint64_t id = p.req.epoch;
+void server::serve_unwatch(const connection_ptr& conn,
+                           const wire::request& req, wire::response& r) {
+  const std::uint64_t id = req.epoch;
   std::uint64_t drop_hub = 0;
   {
     const std::lock_guard<std::mutex> lock(router_mutex_);
     const auto idit = router_by_id_.find(id);
     // Only ids this connection registered are cancelled — an unknown or
     // foreign id is a harmless no-op, not a protocol violation.
-    if (idit != router_by_id_.end() && idit->second.conn == p.conn) {
-      const std::string key = idit->second.key;
-      router_by_id_.erase(idit);
-      auto& wids = p.conn->watch_ids;
+    if (idit != router_by_id_.end() && idit->second.conn == conn) {
+      auto& wids = conn->watch_ids;
       wids.erase(std::remove(wids.begin(), wids.end(), id), wids.end());
-      const auto kit = router_by_key_.find(key);
-      if (kit != router_by_key_.end()) {
-        auto& ids = kit->second.ids;
-        ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-        if (ids.empty() && !kit->second.subscribing) {
-          drop_hub = kit->second.hub_id;
-          router_by_key_.erase(kit);
-        }
-      }
+      drop_hub = drop_watch_locked(id);
     }
   }
   if (drop_hub != 0) service_.unwatch(drop_hub);
   r.result = wire::status::ok;
+}
+
+std::uint64_t server::drop_watch_locked(std::uint64_t id) {
+  const auto idit = router_by_id_.find(id);
+  if (idit == router_by_id_.end()) return 0;
+  const auto kit = router_by_key_.find(idit->second.key);
+  router_by_id_.erase(idit);
+  if (kit == router_by_key_.end()) return 0;
+  auto& ids = kit->second.ids;
+  ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
+  if (!ids.empty() || kit->second.subscribing) return 0;
+  const std::uint64_t hub = kit->second.hub_id;
+  router_by_key_.erase(kit);
+  return hub;
 }
 
 void server::fanout_event(const svc::watch_event& e) {
@@ -1170,19 +1091,22 @@ void server::fanout_event(const svc::watch_event& e) {
     }
   }
   for (std::size_t i = 0; i < by_reactor.size(); ++i) {
-    if (!by_reactor[i].empty()) {
-      post_flush_batch(*reactors_[i], std::move(by_reactor[i]));
-    }
+    auto& conns = by_reactor[i];
+    reactor& r = *reactors_[i];
+    if (conns.empty()) continue;
+    (void)post(r, [&] {
+      r.flush_inbox.insert(r.flush_inbox.end(), conns.begin(), conns.end());
+    });
   }
 }
 
-void server::serve_admin(const pending& p, wire::response& r) {
+void server::serve_admin(const wire::request& req, wire::response& r) {
   if (!config_.enable_admin) {
     r.result = wire::status::denied;
     return;
   }
   svc::instance_registry& registry = service_.registry();
-  switch (p.req.kind) {
+  switch (req.kind) {
     case wire::op::admin_list: {
       std::string body = "[";
       for (const svc::key_inspection& k : registry.list_keys()) {
@@ -1198,7 +1122,7 @@ void server::serve_admin(const pending& p, wire::response& r) {
       break;
     }
     case wire::op::admin_inspect: {
-      const auto k = registry.inspect(p.req.key);
+      const auto k = registry.inspect(req.key);
       if (!k.has_value()) {
         r.result = wire::status::not_leader;  // never acquired
         break;
@@ -1208,11 +1132,6 @@ void server::serve_admin(const pending& p, wire::response& r) {
       r.result = wire::status::ok;
       break;
     }
-    case wire::op::admin_force_release:
-      // Through the service, not the registry: the forced-release
-      // counter and the journal's "admin" cause live there.
-      r.result = wire::from_lease_status(service_.force_release(p.req.key));
-      break;
     case wire::op::admin_snapshot: {
       const std::vector<std::uint8_t> snap =
           service_.registry().snapshot(/*trim_log=*/false);
@@ -1232,7 +1151,7 @@ void server::serve_admin(const pending& p, wire::response& r) {
       body += ",\"bytes\":";
       body += std::to_string(snap.size());
       body += ",\"path\":\"";
-      json_escape_into(body, config_.snapshot_path);
+      body += exp::json_escape(config_.snapshot_path);
       body += "\",\"written\":";
       body += written ? "true" : "false";
       body += "}";
@@ -1256,7 +1175,7 @@ void server::serve_admin(const pending& p, wire::response& r) {
       }
       const std::vector<cmd::command> all = registry.collect_commands();
       const std::uint64_t offset =
-          std::min<std::uint64_t>(p.req.epoch, all.size());
+          std::min<std::uint64_t>(req.epoch, all.size());
       std::string body = "{\"total\":";
       body += std::to_string(all.size());
       body += ",\"offset\":";
@@ -1283,90 +1202,180 @@ void server::serve_admin(const pending& p, wire::response& r) {
   }
 }
 
-void server::serve_blocking(const pending& p) {
-  svc::service::session& session = *p.conn->session;
-  const obs::trace_scope trace(p.req.trace_id);
-  const serve_trace timing(p.req.trace_id, p.req.kind);
-  const auto not_primary = [&] {
-    return config_.cluster.enabled() && !config_.cluster.is_primary();
-  };
-  if (not_primary()) {
-    wire::response redirect;
-    redirect.id = p.req.id;
-    redirect.kind = p.req.kind;
-    redirect.result = wire::status::not_primary;
-    redirect.body = config_.cluster.primary_hint();
-    send_response(p.conn, redirect);
-    complete(p.conn);
+// ---------------------------------------------------------------------
+// Blocking acquires: a continuation per request, parked on the key's
+// epoch in the registry between attempts. Everything below runs on the
+// waiter's reactor except where noted.
+
+void server::start_waiter(reactor& re, const connection_ptr& conn,
+                          wire::request req) {
+  if (waiters_.fetch_add(1, std::memory_order_relaxed) >=
+      config_.max_waiters) {
+    // Out of continuation slots: tell the client to back off and retry
+    // rather than queueing without bound.
+    waiters_.fetch_sub(1, std::memory_order_relaxed);
+    counters_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
+    wire::response busy;
+    busy.result = wire::status::busy;
+    reply(call{conn, req.id, req.kind, 0, 0}, std::move(busy));
     return;
   }
-  const bool bounded = p.req.kind == wire::op::try_acquire_for;
-  const auto slice = std::chrono::milliseconds(
-      std::max<std::uint64_t>(1, config_.blocking_slice_ms));
-  // The wire value is untrusted: clamp before it meets the clock, or a
-  // huge timeout overflows the nanosecond rep (UB) / wraps the deadline
-  // into the past. A day is indistinguishable from forever here.
-  const auto timeout = std::chrono::milliseconds(
-      std::min<std::uint64_t>(p.req.timeout_ms, 86'400'000ull));
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  svc::acquire_result result;
-  bool abandoned = false;
-  for (;;) {
-    // Sleep in bounded slices: each wakeup re-checks for server stop and
-    // connection death, so no waiter thread outlives either by more than
-    // one slice. A won slice attempt is a real win; a timed-out slice
-    // just loops.
-    auto wait = slice;
-    if (bounded) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      wait = std::clamp(left, std::chrono::milliseconds(0), slice);
-    }
-    result = session.try_acquire_for(p.req.key, wait);
-    if (result.won || result.rejected) break;
-    if (bounded && std::chrono::steady_clock::now() >= deadline) {
-      result.timed_out = true;
-      break;
-    }
-    if (p.conn->closed.load(std::memory_order_relaxed)) {
-      abandoned = true;
-      break;
-    }
-    if (stopping_.load(std::memory_order_relaxed)) {
-      result = svc::acquire_result{};
-      result.rejected = true;
-      break;
-    }
-    if (not_primary()) {
-      // Deposed mid-wait: the waiter cannot win here any more (the
-      // commit gate fails every new grant); tell the client where to
-      // re-queue instead of letting it park against a follower.
-      wire::response redirect;
-      redirect.id = p.req.id;
-      redirect.kind = p.req.kind;
-      redirect.result = wire::status::not_primary;
-      redirect.body = config_.cluster.primary_hint();
-      send_response(p.conn, redirect);
-      complete(p.conn);
-      return;
-    }
+  auto w = std::make_shared<waiter>();
+  w->conn = conn;
+  w->deadline = std::chrono::steady_clock::time_point::max();
+  if (req.kind == wire::op::try_acquire_for) {
+    // The wire value is untrusted: clamp before it meets the clock, or
+    // a huge timeout overflows the nanosecond rep (UB) / wraps the
+    // deadline into the past. A day is indistinguishable from forever.
+    w->deadline = std::chrono::steady_clock::now() +
+                  std::chrono::milliseconds(
+                      std::min<std::uint64_t>(req.timeout_ms, 86'400'000ull));
+    w->deadline_timer = re.timers.emplace(w->deadline, timer{-1, w});
   }
-  if (result.won &&
-      (abandoned || p.conn->closed.load(std::memory_order_relaxed))) {
-    // The client died while its acquire was in flight; nobody is behind
-    // the lease, so hand it straight back instead of wedging the key
-    // until the TTL.
-    (void)session.reclaim(p.req.key, result.epoch);
-    counters_.disconnect_reclaims.fetch_add(1, std::memory_order_relaxed);
-    complete(p.conn);
+  w->req = std::move(req);
+  conn->waiters.push_back(w);
+  attempt(w);
+}
+
+void server::attempt(const waiter_ptr& w) {
+  if (stopping_.load(std::memory_order_relaxed)) {
+    wire::response rejected;
+    rejected.result = wire::status::rejected;
+    answer_waiter(w, std::move(rejected));
     return;
   }
-  if (abandoned) {
-    complete(p.conn);
+  if (config_.cluster.enabled() && !config_.cluster.is_primary()) {
+    // Never primary, or deposed while parked (the node kicks its
+    // waiters on step-down): the commit gate would fail every grant
+    // here, so tell the client where to queue instead.
+    answer_waiter(w, redirect(w->req));
     return;
   }
-  send_response(p.conn, acquire_response(p.req, result));
-  complete(p.conn);
+  w->attempting = true;
+  const obs::trace_scope trace(w->req.trace_id);
+  begin_op();
+  w->conn->session->try_acquire(
+      w->req.key, [this, w](const svc::acquire_result& result) {
+        post_waiter(w, result);
+        end_op();
+      });
+}
+
+void server::post_waiter(const waiter_ptr& w,
+                         std::optional<svc::acquire_result> verdict) {
+  // A waiter has one event outstanding at a time (an attempt or a
+  // park), so the verdict can ride on it; the inbox lock publishes it.
+  w->verdict = std::move(verdict);
+  reactor& re = w->conn->owner;
+  if (current_reactor_tls == &re && w->verdict.has_value()) {
+    step_waiter(w);  // decided inline: handled inline
+    return;
+  }
+  // An epoch resume is queued even on its own reactor, so it never
+  // recurses into an attempt.
+  if (post(re, [&] { re.waiter_inbox.push_back(w); })) return;
+  // The reactor is gone (server stop): its connections are all closed,
+  // so settling needs no reactor state — reclaim a late win and drop.
+  if (w->verdict.has_value() && w->verdict->won) {
+    reclaim_late_win(*w->conn, w->req.key, w->verdict->epoch);
+  }
+  if (!w->done) finish_waiter(w);
+}
+
+void server::step_waiter(const waiter_ptr& w) {
+  if (!w->verdict.has_value()) {
+    // The key's epoch moved (or a kick): try again, unless the waiter
+    // was answered meanwhile or its connection died.
+    w->park_id = 0;
+    if (w->done) return;
+    if (w->conn->closed.load(std::memory_order_relaxed)) {
+      finish_waiter(w);
+    } else {
+      attempt(w);
+    }
+    return;
+  }
+  const svc::acquire_result result = *std::exchange(w->verdict, std::nullopt);
+  w->attempting = false;
+  if (w->done || w->conn->closed.load(std::memory_order_relaxed)) {
+    if (result.won) reclaim_late_win(*w->conn, w->req.key, result.epoch);
+    if (!w->done) finish_waiter(w);
+    return;
+  }
+  if (result.won || result.rejected) {
+    answer_waiter(w, acquire_response(result));
+    return;
+  }
+  w->epoch = result.epoch;
+  if (std::chrono::steady_clock::now() >= w->deadline) {
+    svc::acquire_result timed_out = result;
+    timed_out.timed_out = true;
+    answer_waiter(w, acquire_response(timed_out));
+    return;
+  }
+  if (w->counted) {
+    // Parked waits on other clients: it must not hold the connection's
+    // read pause shut, or the release that unparks it could sit unread
+    // behind that pause on this very socket.
+    w->counted = false;
+    complete(w->conn);
+  }
+  begin_op();
+  w->park_id = service_.registry().park_until_epoch_above(
+      w->req.key, result.epoch, [this, w] {
+        post_waiter(w, std::nullopt);
+        end_op();
+      });
+  // A step-down kicks the parked acquirers after it changes the role; a
+  // kick that ran before this park landed missed it, so look again.
+  if (config_.cluster.enabled() && !config_.cluster.is_primary() &&
+      unpark(w)) {
+    answer_waiter(w, redirect(w->req));
+  }
+}
+
+void server::reclaim_late_win(connection& conn, const std::string& key,
+                              std::uint64_t epoch) {
+  // Disconnect-on-close already ran (or the waiter was answered at
+  // stop), so nobody is behind this win: hand it straight back instead
+  // of wedging the key until the TTL.
+  conn.session->reclaim(key, epoch, [](svc::lease_status) {});
+  counters_.disconnect_reclaims.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool server::unpark(const waiter_ptr& w) {
+  if (w->done || w->attempting || w->park_id == 0) return false;
+  if (!service_.registry().cancel_park(w->req.key, w->park_id)) {
+    return false;  // taken for firing: the resume is on its way
+  }
+  w->park_id = 0;
+  end_op();  // the continuation that will now never run
+  return true;
+}
+
+void server::answer_waiter(const waiter_ptr& w, wire::response r) {
+  r.id = w->req.id;
+  r.kind = w->req.kind;
+  send_response(w->conn, r);
+  finish_waiter(w);
+}
+
+void server::finish_waiter(const waiter_ptr& w) {
+  w->done = true;
+  reactor& re = w->conn->owner;
+  if (w->deadline_timer.has_value() && current_reactor_tls == &re) {
+    re.timers.erase(*w->deadline_timer);
+    w->deadline_timer.reset();
+  }
+  if (!w->conn->closed.load(std::memory_order_relaxed)) {
+    auto& ws = w->conn->waiters;
+    ws.erase(std::remove(ws.begin(), ws.end(), w), ws.end());
+  }
+  if (w->counted) {
+    w->counted = false;
+    complete(w->conn);
+  }
+  waiters_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------
@@ -1408,171 +1417,139 @@ void server::send_response(const connection_ptr& conn,
   auto frame = std::make_shared<const std::vector<std::uint8_t>>(
       wire::encode_response(r));
   bool need_post = false;
+  reactor& owner = conn->owner;
   if (enqueue_frame(conn, std::move(frame), /*is_event=*/false, need_post) &&
       need_post) {
-    post_flush(conn->owner, conn);
+    (void)post(owner, [&] { owner.flush_inbox.push_back(conn); });
   }
 }
 
-void server::post_flush(reactor& r, const connection_ptr& conn) {
-  if (current_reactor_tls == &r) {
-    flush_connection(r, conn);
-    return;
+ssize_t server::write_ring(reactor& r, connection& conn) {
+  iovec iov[64];
+  int count = 0;
+  std::size_t offset = conn.out_offset;
+  for (const out_frame& f : conn.outbox) {
+    if (count == 64) break;
+    iov[count].iov_base = const_cast<std::uint8_t*>(f.bytes->data() + offset);
+    iov[count].iov_len = f.bytes->size() - offset;
+    offset = 0;
+    ++count;
   }
-  bool kick = false;
-  {
-    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
-    r.flush_inbox.push_back(conn);
-    if (!r.wake_pending) {
-      r.wake_pending = true;
-      kick = true;
-    }
+  if (count == 0) return 0;
+  // sendmsg, not writev, for MSG_NOSIGNAL: a peer that reset its socket
+  // must cost the server an EPIPE, never a SIGPIPE under the default
+  // disposition.
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = static_cast<std::size_t>(count);
+  const ssize_t wrote = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
+  if (wrote <= 0) {
+    if (wrote == 0) errno = EAGAIN;  // no progress on a stream socket
+    return -1;
   }
-  if (kick) wake(r);
-}
-
-void server::post_flush_batch(reactor& r, std::vector<connection_ptr> conns) {
-  if (current_reactor_tls == &r) {
-    for (const auto& conn : conns) flush_connection(r, conn);
-    return;
-  }
-  bool kick = false;
-  {
-    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
-    for (auto& conn : conns) r.flush_inbox.push_back(std::move(conn));
-    if (!r.wake_pending) {
-      r.wake_pending = true;
-      kick = true;
-    }
-  }
-  if (kick) wake(r);
-}
-
-void server::post_resume(reactor& r, const connection_ptr& conn) {
-  if (current_reactor_tls == &r) {
-    handle_resume(r, conn);
-    return;
-  }
-  bool kick = false;
-  {
-    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
-    r.resume_inbox.push_back(conn);
-    if (!r.wake_pending) {
-      r.wake_pending = true;
-      kick = true;
-    }
-  }
-  if (kick) wake(r);
-}
-
-std::pair<std::uint64_t, std::uint64_t> server::pop_written(
-    connection& conn, std::size_t wrote) {
-  conn.outbox_bytes -= wrote;
+  r.writev_calls.fetch_add(1, std::memory_order_relaxed);
+  counters_.bytes_out.fetch_add(static_cast<std::uint64_t>(wrote),
+                                std::memory_order_relaxed);
+  auto left = static_cast<std::size_t>(wrote);
+  conn.outbox_bytes -= left;
   std::uint64_t frames = 0;
   std::uint64_t events = 0;
-  while (wrote > 0 && !conn.outbox.empty()) {
-    out_frame& front = conn.outbox.front();
-    const std::size_t left = front.bytes->size() - conn.out_offset;
-    if (wrote >= left) {
-      wrote -= left;
-      conn.out_offset = 0;
-      ++frames;
-      if (front.is_event) ++events;
-      conn.outbox.pop_front();
-    } else {
-      conn.out_offset += wrote;
-      wrote = 0;
+  while (left > 0 && !conn.outbox.empty()) {
+    const out_frame& front = conn.outbox.front();
+    const std::size_t rest = front.bytes->size() - conn.out_offset;
+    if (left < rest) {
+      conn.out_offset += left;
+      break;
     }
+    left -= rest;
+    conn.out_offset = 0;
+    ++frames;
+    if (front.is_event) ++events;
+    conn.outbox.pop_front();
   }
-  return {frames, events};
+  counters_.frames_out.fetch_add(frames, std::memory_order_relaxed);
+  r.frames_flushed.fetch_add(frames, std::memory_order_relaxed);
+  counters_.events_pushed.fetch_add(events, std::memory_order_relaxed);
+  return wrote;
 }
 
 void server::flush_connection(reactor& r, const connection_ptr& conn) {
   if (conn->closed.load(std::memory_order_relaxed)) return;
-  const auto budget = std::chrono::milliseconds(
-      std::max<std::uint64_t>(1, config_.event_write_budget_ms));
-  std::uint64_t flushed = 0;
-  for (;;) {
-    iovec iov[64];
-    int iov_count = 0;
-    {
-      const std::lock_guard<std::mutex> lock(conn->out_mutex);
-      std::size_t offset = conn->out_offset;
-      for (const out_frame& f : conn->outbox) {
-        if (iov_count == 64) break;
-        iov[iov_count].iov_base =
-            const_cast<std::uint8_t*>(f.bytes->data() + offset);
-        iov[iov_count].iov_len = f.bytes->size() - offset;
-        offset = 0;
-        ++iov_count;
-      }
-      // Drained under the same hold that observed empty: an appender
-      // racing in after this will see flush_queued false and post.
-      if (iov_count == 0) conn->flush_queued = false;
-    }
-    if (iov_count == 0) {
-      if (conn->want_writable) {
-        conn->want_writable = false;
-        rearm(r, conn);
-      }
-      conn->stall_armed = false;
-      break;
-    }
-    const ssize_t wrote = ::writev(conn->fd, iov, iov_count);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!conn->want_writable) {
-          conn->want_writable = true;
-          rearm(r, conn);
-        }
-        if (!conn->stall_armed) {
-          // Start the no-progress clock; fire_stalls kills the
-          // connection if a full budget passes without a byte moving.
-          conn->stall_armed = true;
-          conn->stall_since = std::chrono::steady_clock::now();
-          r.stall_wheel.emplace(conn->stall_since + budget, conn->fd);
-        }
-        // flush_queued stays set: EPOLLOUT resumes this drain, and
-        // appenders need not post meanwhile.
-        if (flushed > 0) r.drain_batches.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      finish_connection(r, conn);
-      return;
-    }
-    r.writev_calls.fetch_add(1, std::memory_order_relaxed);
-    counters_.bytes_out.fetch_add(static_cast<std::uint64_t>(wrote),
-                                  std::memory_order_relaxed);
-    conn->stall_armed = false;  // progress resets the stall budget
-    std::uint64_t frames = 0;
-    std::uint64_t events = 0;
-    {
-      const std::lock_guard<std::mutex> lock(conn->out_mutex);
-      std::tie(frames, events) =
-          pop_written(*conn, static_cast<std::size_t>(wrote));
-    }
-    if (frames > 0) {
-      counters_.frames_out.fetch_add(frames, std::memory_order_relaxed);
-      r.frames_flushed.fetch_add(frames, std::memory_order_relaxed);
-      flushed += frames;
-    }
-    if (events > 0) {
-      counters_.events_pushed.fetch_add(events, std::memory_order_relaxed);
-    }
+  const std::uint64_t frames_before =
+      r.frames_flushed.load(std::memory_order_relaxed);
+  ssize_t wrote = 0;
+  int error = 0;
+  {
+    const std::lock_guard<std::mutex> lock(conn->out_mutex);
+    do {
+      wrote = write_ring(r, *conn);
+    } while (wrote > 0 || (wrote < 0 && errno == EINTR));
+    error = wrote < 0 ? errno : 0;
+    // Drained under the same hold that observed empty: an appender
+    // racing in after this will see flush_queued false and post. On
+    // EAGAIN flush_queued stays set: EPOLLOUT resumes this drain, and
+    // appenders need not post meanwhile.
+    if (wrote == 0) conn->flush_queued = false;
   }
-  if (flushed > 0) r.drain_batches.fetch_add(1, std::memory_order_relaxed);
+  const bool progressed =
+      r.frames_flushed.load(std::memory_order_relaxed) != frames_before;
+  if (progressed) {
+    r.drain_batches.fetch_add(1, std::memory_order_relaxed);
+    conn->stall_armed = false;  // progress resets the stall budget
+  }
+  if (wrote == 0) {
+    if (conn->want_writable) {
+      conn->want_writable = false;
+      rearm(r, conn);
+    }
+    conn->stall_armed = false;
+  } else if (error == EAGAIN || error == EWOULDBLOCK) {
+    if (!conn->want_writable) {
+      conn->want_writable = true;
+      rearm(r, conn);
+    }
+    if (!conn->stall_armed) {
+      // Start the no-progress clock; fire_timers kills the connection
+      // if a full budget passes without a byte moving.
+      conn->stall_armed = true;
+      conn->stall_since = std::chrono::steady_clock::now();
+      r.timers.emplace(conn->stall_since +
+                           std::chrono::milliseconds(std::max<std::uint64_t>(
+                               1, config_.event_write_budget_ms)),
+                       timer{conn->fd, {}});
+    }
+  } else {
+    finish_connection(r, conn);
+    return;
+  }
+  maybe_resume(r, conn);
 }
 
-void server::fire_stalls(reactor& r) {
-  if (r.stall_wheel.empty()) return;
+void server::fire_timers(reactor& r) {
+  if (r.timers.empty()) return;
   const auto now = std::chrono::steady_clock::now();
   const auto budget = std::chrono::milliseconds(
       std::max<std::uint64_t>(1, config_.event_write_budget_ms));
-  while (!r.stall_wheel.empty() && r.stall_wheel.begin()->first <= now) {
-    const int fd = r.stall_wheel.begin()->second;
-    r.stall_wheel.erase(r.stall_wheel.begin());
-    const auto it = r.connections.find(fd);
+  while (!r.timers.empty() && r.timers.begin()->first <= now) {
+    const timer t = std::move(r.timers.begin()->second);
+    r.timers.erase(r.timers.begin());
+    if (t.fd < 0) {
+      // A try_acquire_for deadline. Only a parked waiter is answered
+      // here; one mid-attempt (or with its resume already queued) sees
+      // the deadline when that attempt's verdict comes back — an
+      // attempt in flight at the deadline still completes, and its win
+      // is returned.
+      const waiter_ptr w = t.w.lock();
+      if (!w) continue;
+      w->deadline_timer.reset();  // the entry is gone already
+      if (!unpark(w)) continue;
+      svc::acquire_result timed_out;
+      timed_out.epoch = w->epoch;
+      timed_out.timed_out = true;
+      answer_waiter(w, acquire_response(timed_out));
+      continue;
+    }
+    const auto it = r.connections.find(t.fd);
     if (it == r.connections.end()) continue;  // already finished
     const connection_ptr conn = it->second;
     // An entry is current only if its deadline matches the live arm
@@ -1586,10 +1563,10 @@ void server::fire_stalls(reactor& r) {
   }
 }
 
-int server::next_stall_timeout_ms(reactor& r) const {
-  if (r.stall_wheel.empty()) return -1;
+int server::next_timeout_ms(reactor& r) const {
+  if (r.timers.empty()) return -1;
   const auto now = std::chrono::steady_clock::now();
-  const auto first = r.stall_wheel.begin()->first;
+  const auto first = r.timers.begin()->first;
   if (first <= now) return 0;
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(first - now)
@@ -1601,10 +1578,7 @@ int server::next_stall_timeout_ms(reactor& r) const {
 void server::rearm(reactor& r, const connection_ptr& conn) {
   if (conn->closed.load(std::memory_order_relaxed)) return;
   std::uint32_t mask = EPOLLRDHUP;
-  {
-    const std::lock_guard<std::mutex> lock(conn->pause_mutex);
-    if (!conn->paused) mask |= EPOLLIN;
-  }
+  if (!conn->paused) mask |= EPOLLIN;
   if (conn->want_writable) mask |= EPOLLOUT;
   epoll_event ev{};
   ev.events = mask;
@@ -1614,53 +1588,30 @@ void server::rearm(reactor& r, const connection_ptr& conn) {
 
 void server::complete(const connection_ptr& conn) {
   conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  bool post = false;
-  {
-    const std::lock_guard<std::mutex> lock(conn->pause_mutex);
-    if (conn->paused && !conn->resume_queued &&
-        !conn->closed.load(std::memory_order_relaxed) &&
-        conn->in_flight.load(std::memory_order_acquire) <=
-            config_.max_inflight_per_connection / 2) {
-      conn->resume_queued = true;
-      post = true;
-    }
-  }
-  if (post) post_resume(conn->owner, conn);
+  // Off the reactor, the answer sent right after this triggers a flush,
+  // and the flush re-checks the pause.
+  if (current_reactor_tls == &conn->owner) maybe_resume(conn->owner, conn);
 }
 
 void server::maybe_pause(reactor& r, const connection_ptr& conn) {
-  bool paused_now = false;
-  {
-    const std::lock_guard<std::mutex> lock(conn->pause_mutex);
-    if (conn->paused || conn->closed.load(std::memory_order_relaxed)) return;
-    if (conn->in_flight.load(std::memory_order_acquire) <
-        config_.max_inflight_per_connection) {
-      return;
-    }
-    conn->paused = true;
-    paused_now = true;
+  if (conn->paused || conn->closed.load(std::memory_order_relaxed) ||
+      conn->in_flight.load(std::memory_order_acquire) <
+          config_.max_inflight_per_connection) {
+    return;
   }
-  if (paused_now) {
-    counters_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
-    rearm(r, conn);
-  }
+  conn->paused = true;
+  counters_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
+  rearm(r, conn);
 }
 
-void server::handle_resume(reactor& r, const connection_ptr& conn) {
-  bool resumed = false;
-  {
-    const std::lock_guard<std::mutex> lock(conn->pause_mutex);
-    conn->resume_queued = false;
-    if (!conn->paused || conn->closed.load(std::memory_order_relaxed)) return;
-    if (conn->in_flight.load(std::memory_order_acquire) >
-        config_.max_inflight_per_connection / 2) {
-      // Filled back up since the post; a later complete() re-posts.
-      return;
-    }
-    conn->paused = false;
-    resumed = true;
+void server::maybe_resume(reactor& r, const connection_ptr& conn) {
+  if (!conn->paused || conn->closed.load(std::memory_order_relaxed) ||
+      conn->in_flight.load(std::memory_order_acquire) >
+          config_.max_inflight_per_connection / 2) {
+    return;
   }
-  if (resumed) rearm(r, conn);
+  conn->paused = false;
+  rearm(r, conn);
 }
 
 void server::start_close(const connection_ptr& conn) {
@@ -1677,46 +1628,20 @@ void server::finish_connection(reactor& r, const connection_ptr& conn) {
   if (!was_closed) {
     // Final opportunistic flush: a one-shot refusal (bad hello, oversize
     // frame) must still reach the peer, and responses a clean
-    // disconnect raced past deserve a best effort. writev while bytes
+    // disconnect raced past deserve a best effort. Write while bytes
     // move; EAGAIN or error abandons the rest.
     const std::lock_guard<std::mutex> lock(conn->out_mutex);
-    while (!conn->outbox.empty()) {
-      iovec iov[64];
-      int iov_count = 0;
-      std::size_t offset = conn->out_offset;
-      for (const out_frame& f : conn->outbox) {
-        if (iov_count == 64) break;
-        iov[iov_count].iov_base =
-            const_cast<std::uint8_t*>(f.bytes->data() + offset);
-        iov[iov_count].iov_len = f.bytes->size() - offset;
-        offset = 0;
-        ++iov_count;
-      }
-      const ssize_t wrote = ::writev(conn->fd, iov, iov_count);
-      if (wrote <= 0) {
-        if (wrote < 0 && errno == EINTR) continue;
-        break;
-      }
-      r.writev_calls.fetch_add(1, std::memory_order_relaxed);
-      counters_.bytes_out.fetch_add(static_cast<std::uint64_t>(wrote),
-                                    std::memory_order_relaxed);
-      const auto popped = pop_written(*conn, static_cast<std::size_t>(wrote));
-      if (popped.first > 0) {
-        counters_.frames_out.fetch_add(popped.first,
-                                       std::memory_order_relaxed);
-        r.frames_flushed.fetch_add(popped.first, std::memory_order_relaxed);
-      }
-      if (popped.second > 0) {
-        counters_.events_pushed.fetch_add(popped.second,
-                                          std::memory_order_relaxed);
-      }
-    }
+    ssize_t wrote = 0;
+    do {
+      wrote = write_ring(r, *conn);
+    } while (wrote > 0 || (wrote < 0 && errno == EINTR));
   }
   ::shutdown(conn->fd, SHUT_RDWR);
   (void)::epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
   conn->stall_armed = false;
   {
-    // Whatever could not be flushed is gone; count the lost events.
+    // Whatever could not be flushed is gone (closed is set, so nothing
+    // is appended any more); count the lost events.
     const std::lock_guard<std::mutex> lock(conn->out_mutex);
     std::uint64_t dropped = 0;
     for (const out_frame& f : conn->outbox) {
@@ -1737,32 +1662,31 @@ void server::finish_connection(reactor& r, const connection_ptr& conn) {
   {
     const std::lock_guard<std::mutex> lock(router_mutex_);
     for (const std::uint64_t id : conn->watch_ids) {
-      const auto idit = router_by_id_.find(id);
-      if (idit == router_by_id_.end()) continue;
-      const std::string key = idit->second.key;
-      router_by_id_.erase(idit);
-      const auto kit = router_by_key_.find(key);
-      if (kit == router_by_key_.end()) continue;
-      auto& ids = kit->second.ids;
-      ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-      if (ids.empty() && !kit->second.subscribing) {
-        if (kit->second.hub_id != 0) hub_drops.push_back(kit->second.hub_id);
-        router_by_key_.erase(kit);
+      if (const std::uint64_t hub = drop_watch_locked(id)) {
+        hub_drops.push_back(hub);
       }
     }
     conn->watch_ids.clear();
   }
   for (const std::uint64_t hub : hub_drops) service_.unwatch(hub);
+  // Parked acquires die with the connection. One mid-attempt (or with
+  // its resume queued) settles when that comes back and sees closed.
+  for (const waiter_ptr& w : std::exchange(conn->waiters, {})) {
+    if (unpark(w)) finish_waiter(w);
+  }
   if (conn->session.has_value()) {
     // The disconnect-on-close hook: whatever the remote client held is
     // reclaimed NOW — its rivals re-elect immediately instead of
     // waiting out the lease TTL. In-flight wins for this connection are
-    // reclaimed by their waiters (see serve_blocking). Each reclaimed
-    // key's disconnect_reclaimed command carries its real epoch, so the
+    // reclaimed by their completions (see serve). Each reclaimed key's
+    // disconnect_reclaimed command carries its real epoch, so the
     // event journal names every key with no pre-scan of held keys.
-    const std::size_t reclaimed = conn->session->reclaim_all();
-    counters_.disconnect_reclaims.fetch_add(reclaimed,
-                                            std::memory_order_relaxed);
+    begin_op();
+    conn->session->reclaim_all([this](std::size_t reclaimed) {
+      counters_.disconnect_reclaims.fetch_add(reclaimed,
+                                              std::memory_order_relaxed);
+      end_op();
+    });
   }
   r.active.fetch_sub(1, std::memory_order_relaxed);
   connections_active_.fetch_sub(1, std::memory_order_relaxed);
@@ -1879,10 +1803,7 @@ void server::http_respond(int fd, const std::string& buffered) {
   response += body;
   // Bounded write on the reactor thread: a scrape response is a few
   // KiB, but a wedged scraper must not park the reactor indefinitely.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  (void)write_all(fd, reinterpret_cast<const std::uint8_t*>(response.data()),
-                  response.size(), stopping_, &deadline);
+  write_all(fd, response, std::chrono::steady_clock::now() + 2s);
 }
 
 void server::http_close(reactor& r, int fd) {
@@ -1895,46 +1816,40 @@ void server::http_close(reactor& r, int fd) {
 // Reporting.
 
 net_report server::report() const {
+  const auto get = [](const std::atomic<std::uint64_t>& a) {
+    return a.load(std::memory_order_relaxed);
+  };
+  const counters& c = counters_;
   net_report r;
-  r.connections_accepted =
-      counters_.connections_accepted.load(std::memory_order_relaxed);
-  r.connections_active =
-      connections_active_.load(std::memory_order_relaxed);
-  r.connections_refused =
-      counters_.connections_refused.load(std::memory_order_relaxed);
-  r.frames_in = counters_.frames_in.load(std::memory_order_relaxed);
-  r.frames_out = counters_.frames_out.load(std::memory_order_relaxed);
-  r.bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  r.bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  r.requests = counters_.requests.load(std::memory_order_relaxed);
-  r.dispatch_batches =
-      counters_.dispatch_batches.load(std::memory_order_relaxed);
-  r.backpressure_pauses =
-      counters_.backpressure_pauses.load(std::memory_order_relaxed);
-  r.busy_rejections =
-      counters_.busy_rejections.load(std::memory_order_relaxed);
-  r.protocol_errors =
-      counters_.protocol_errors.load(std::memory_order_relaxed);
-  r.disconnect_reclaims =
-      counters_.disconnect_reclaims.load(std::memory_order_relaxed);
-  r.watch_subscriptions =
-      counters_.watch_subscriptions.load(std::memory_order_relaxed);
-  r.events_pushed = counters_.events_pushed.load(std::memory_order_relaxed);
-  r.events_dropped =
-      counters_.events_dropped.load(std::memory_order_relaxed);
+  r.connections_accepted = get(c.connections_accepted);
+  r.connections_active = get(connections_active_);
+  r.connections_refused = get(c.connections_refused);
+  r.frames_in = get(c.frames_in);
+  r.frames_out = get(c.frames_out);
+  r.bytes_in = get(c.bytes_in);
+  r.bytes_out = get(c.bytes_out);
+  r.requests = get(c.requests);
+  r.dispatch_batches = get(c.dispatch_batches);
+  r.backpressure_pauses = get(c.backpressure_pauses);
+  r.busy_rejections = get(c.busy_rejections);
+  r.protocol_errors = get(c.protocol_errors);
+  r.disconnect_reclaims = get(c.disconnect_reclaims);
+  r.watch_subscriptions = get(c.watch_subscriptions);
+  r.events_pushed = get(c.events_pushed);
+  r.events_dropped = get(c.events_dropped);
   r.reactors = reactors_.size();
   r.reuseport = reuseport_active_;
   r.per_reactor.reserve(reactors_.size());
   for (const auto& re : reactors_) {
     net_report::reactor_stat s;
     s.index = re->index;
-    s.connections = re->active.load(std::memory_order_relaxed);
-    s.accepted = re->accepted.load(std::memory_order_relaxed);
-    s.wakeups = re->wakeups.load(std::memory_order_relaxed);
-    s.writev_calls = re->writev_calls.load(std::memory_order_relaxed);
-    s.frames_flushed = re->frames_flushed.load(std::memory_order_relaxed);
-    s.drain_batches = re->drain_batches.load(std::memory_order_relaxed);
-    s.requests = re->requests.load(std::memory_order_relaxed);
+    s.connections = get(re->active);
+    s.accepted = get(re->accepted);
+    s.wakeups = get(re->wakeups);
+    s.writev_calls = get(re->writev_calls);
+    s.frames_flushed = get(re->frames_flushed);
+    s.drain_batches = get(re->drain_batches);
+    s.requests = get(re->requests);
     r.writev_calls += s.writev_calls;
     r.frames_flushed += s.frames_flushed;
     r.reactor_wakeups += s.wakeups;

@@ -11,28 +11,35 @@
 // listener and deals accepted sockets round-robin to its peers through
 // their adopt queues.
 //
-// Reads: a readable socket is drained to EAGAIN in bounded bites and
-// *all* complete frames are decoded before anything is dispatched
-// (request batching: one syscall burst, one queue lock, many
-// requests), then:
+// Reads: a readable socket is drained in bounded bites, and every
+// decoded request is served right there, on the reactor that read it,
+// through the service's completion-style session ops — one request
+// path, no executor queue, no thread per request:
 //
-//   * non-blocking ops (try_acquire, release, renew, disconnect,
-//     metrics) go to a small executor pool — they only ever take shard
-//     locks and pool round-trips, never park;
-//   * blocking ops (acquire, try_acquire_for) each get a waiter thread,
-//     bounded by `max_waiters`; past the cap the server answers `busy`
-//     instead of queueing a request behind threads that may sleep for
-//     minutes.
+//   * lease ops (release, renew, disconnect), watch, inspect/admin and
+//     the adaptive fast path decide under one shard lock and complete
+//     inline; their answers flush in the same loop turn;
+//   * a protocol-strategy election completes on the pool node that ran
+//     it, and a commit-gated ack (cluster mode) on the replication
+//     thread that saw the commit — both only enqueue the answer and
+//     kick the reactor;
+//   * a blocking acquire (acquire, try_acquire_for) makes its first
+//     attempt inline; if that loses, it parks as a continuation on the
+//     key's epoch in the registry. Whatever resumes it — the epoch
+//     moving (release, expiry, fence), service stop, a deposed
+//     primary's kick, or a try_acquire_for deadline on this reactor's
+//     timer wheel — posts it back to its reactor, which re-attempts or
+//     answers. `max_waiters` bounds these continuations server-wide
+//     (memory, not threads); past it the server answers `busy`.
 //
-// Writes: responses are never written by the thread that produced
-// them. Every encoded frame lands in the connection's output ring (a
+// Writes: every encoded frame lands in the connection's output ring (a
 // deque of shared immutable buffers) and the owning reactor flushes
-// the ring with writev — one syscall coalesces every frame that is
-// ready, EAGAIN arms EPOLLOUT, and a consumer that makes no progress
-// for event_write_budget_ms is declared dead by the reactor's timer
-// wheel. Cross-thread completions reach the reactor through its inbox
-// plus an eventfd kick, so all epoll_ctl and all socket writes happen
-// on the owning reactor thread.
+// the ring with one sendmsg per batch — answers produced while a read
+// batch is served are flushed together after it, EAGAIN arms EPOLLOUT,
+// and a consumer that makes no progress for event_write_budget_ms is
+// declared dead by the reactor's timer wheel. Completions from other
+// threads reach the reactor through its inbox plus an eventfd kick, so
+// all epoll_ctl and all socket writes happen on the owning reactor.
 //
 // Watch fanout rides a fast lane: the server keeps ONE hub
 // subscription per watched key; its callback encodes the event frame
@@ -49,9 +56,12 @@
 //
 // Backpressure is per connection: at `max_inflight_per_connection`
 // outstanding requests the reactor stops *reading* that socket (drops
-// EPOLLIN) until completions drain below half the cap. The output ring
-// is bounded too (`max_outbox_bytes`): a consumer that never drains
-// loses the connection rather than growing the ring without bound.
+// EPOLLIN) until completions drain below half the cap. A parked
+// blocking acquire does not count: it waits on other clients, and the
+// fenced release that would unpark it may be queued behind the pause
+// on this very socket. The output ring is bounded too
+// (`max_outbox_bytes`): a consumer that never drains loses the
+// connection rather than growing the ring without bound.
 #pragma once
 
 #include <atomic>
@@ -67,7 +77,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -103,19 +112,18 @@ struct server_config {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with server::port().
   std::uint16_t port = 0;
-  /// Threads serving non-blocking ops.
+  /// No effect: every request is served on its reactor. Kept so
+  /// configurations (and reports) that still name it keep compiling.
   int executors = 4;
-  /// Concurrent blocking ops (acquire / try_acquire_for) server-wide;
-  /// past this the server answers wire::status::busy.
+  /// Concurrent blocking ops (acquire / try_acquire_for) server-wide —
+  /// parked continuations, not threads; past this the server answers
+  /// wire::status::busy.
   int max_waiters = 256;
   /// Outstanding requests per connection before the server stops
-  /// reading that socket.
+  /// reading that socket. Parked blocking acquires do not count.
   int max_inflight_per_connection = 64;
   /// Accepted connections beyond this are closed immediately.
   int max_connections = 1024;
-  /// Granularity at which parked blocking ops re-check for server stop
-  /// and connection death.
-  std::uint64_t blocking_slice_ms = 50;
   /// Watch subscriptions one connection may hold; past the cap a watch
   /// op answers `busy` (resource exhaustion, same family as the waiter
   /// cap — not a protocol violation).
@@ -211,9 +219,9 @@ struct net_report {
 
 class server {
  public:
-  /// Binds, listens, and starts the reactors + executors. The service
-  /// must outlive the server. Check listening() — construction does not
-  /// abort on bind failure (the port may be taken).
+  /// Binds, listens, and starts the reactors. The service must outlive
+  /// the server. Check listening() — construction does not abort on
+  /// bind failure (the port may be taken).
   server(svc::service& service, server_config config);
   ~server();
 
@@ -242,9 +250,11 @@ class server {
     return http_port_;
   }
 
-  /// Close the listeners and every connection (their sessions are
-  /// disconnected, releasing held leases), drain the executors, and
-  /// join every thread. Idempotent. Does NOT stop the service.
+  /// Answer every parked blocking acquire `rejected`, close the
+  /// listeners and every connection (their sessions are disconnected,
+  /// releasing held leases), join the reactors, and wait out the
+  /// completions still in flight (elections, commit gates). Idempotent.
+  /// Does NOT stop the service.
   void stop();
 
   [[nodiscard]] net_report report() const;
@@ -254,6 +264,8 @@ class server {
 
  private:
   struct reactor;
+  struct waiter;
+  using waiter_ptr = std::shared_ptr<waiter>;
 
   /// One encoded frame queued for a connection. The buffer is shared
   /// and immutable so the watch fast lane can hand the SAME encoded
@@ -293,24 +305,64 @@ class server {
     bool stall_armed = false;     // timer-wheel entry live
     std::chrono::steady_clock::time_point stall_since{};
 
-    /// Outstanding dispatched requests; drives backpressure.
+    /// Outstanding requests; drives backpressure (see complete()).
     std::atomic<int> in_flight{0};
-    /// Guards paused/resume_queued and orders pause/resume against
-    /// in_flight so a completion draining to zero can never race the
-    /// reactor into a permanently paused socket.
-    std::mutex pause_mutex;
+    /// Reading is paused (reactor-thread-only).
     bool paused = false;
-    /// A resume is already sitting in the owner's inbox.
-    bool resume_queued = false;
 
     /// Watch-router ids owned by this connection (guarded by the
     /// server's router_mutex_, not a connection-local lock — watch
     /// registration is cold next to the data path).
     std::vector<std::uint64_t> watch_ids;
 
+    /// Blocking acquires of this connection not yet answered
+    /// (reactor-thread-only; cleared when the connection finishes).
+    std::vector<waiter_ptr> waiters;
+
     std::atomic<bool> closed{false};
   };
   using connection_ptr = std::shared_ptr<connection>;
+
+  /// A reactor timer-wheel entry: an output-stall budget (fd) or a
+  /// try_acquire_for deadline (weak: an early answer frees the waiter).
+  struct timer {
+    int fd = -1;
+    std::weak_ptr<waiter> w;
+  };
+  using timer_wheel = std::multimap<std::chrono::steady_clock::time_point,
+                                    timer>;
+
+  /// One blocking acquire from arrival to answer: a continuation, not a
+  /// thread. Its fields are touched on its connection's reactor only —
+  /// attempts start there, and every verdict or resume is posted back.
+  struct waiter {
+    connection_ptr conn;
+    wire::request req;
+    /// try_acquire_for's deadline; time_point::max() for acquire.
+    std::chrono::steady_clock::time_point deadline;
+    /// Its timer-wheel entry, erased when answered before it fires.
+    std::optional<timer_wheel::iterator> deadline_timer;
+    /// Registry park handle while parked on the key's epoch, else 0.
+    std::uint64_t park_id = 0;
+    /// The epoch the last attempt lost (reported on timeout).
+    std::uint64_t epoch = 0;
+    /// The posted attempt's result; empty for an epoch resume.
+    std::optional<svc::acquire_result> verdict;
+    bool attempting = false;
+    /// Still counted in conn->in_flight (until it first parks).
+    bool counted = true;
+    bool done = false;
+  };
+
+  /// What an answer needs from its request once the request is gone.
+  struct call {
+    connection_ptr conn;
+    std::uint64_t id = 0;
+    wire::op kind = wire::op::hello;
+    std::uint64_t trace = 0;
+    /// Serve-span start (0 when untraced).
+    std::uint64_t start = 0;
+  };
 
   /// One per-core event loop: epoll + eventfd + (maybe) its own
   /// listener + timer wheel + private connection table + inbox for
@@ -327,16 +379,18 @@ class server {
 
     /// Reactor-thread-only.
     std::unordered_map<int, connection_ptr> connections;
-    /// Timer wheel (coarse): deadline -> fd for output-stall budgets.
-    std::multimap<std::chrono::steady_clock::time_point, int> stall_wheel;
-
-    /// Cross-thread inbox, drained on eventfd wakeup. wake_pending
-    /// coalesces eventfd writes: one kick per drain, however many posts.
+    /// Timer wheel (coarse): output-stall budgets and try_acquire_for
+    /// deadlines, lazily invalidated.
+    timer_wheel timers;
+    /// Inbox, drained on eventfd wakeup and before every sleep (the
+    /// reactor posts to itself without a kick); wake_pending coalesces
+    /// the kicks. Closed (running false) when the loop exits.
     std::mutex inbox_mutex;
     std::vector<connection_ptr> flush_inbox;
-    std::vector<connection_ptr> resume_inbox;
+    std::vector<waiter_ptr> waiter_inbox;
     std::vector<int> adopt_inbox;
     bool wake_pending = false;
+    bool running = true;
 
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> active{0};
@@ -345,11 +399,6 @@ class server {
     std::atomic<std::uint64_t> frames_flushed{0};
     std::atomic<std::uint64_t> drain_batches{0};
     std::atomic<std::uint64_t> requests{0};
-  };
-
-  struct pending {
-    connection_ptr conn;
-    wire::request req;
   };
 
   /// The watch router: one hub subscription per watched key, fanned to
@@ -370,7 +419,6 @@ class server {
   };
 
   void reactor_main(reactor& r);
-  void executor_main();
   /// Accept everything ready on r's listener. In fallback mode only
   /// reactor 0 has one; it adopts locally or deals to a peer's inbox.
   void accept_ready(reactor& r);
@@ -378,22 +426,26 @@ class server {
   void adopt_connection(reactor& r, int fd);
   /// Drain one readable socket and dispatch everything parsed.
   void read_ready(reactor& r, const connection_ptr& conn);
-  /// Drain r's inbox: adopts, resumes, flushes.
-  void process_inbox(reactor& r);
-  /// writev the connection's output ring until drained or EAGAIN
-  /// (reactor thread only).
+  /// Drain r's inbox: adopts, waiters, flushes. False when it was empty.
+  bool process_inbox(reactor& r);
+  /// Push to r's inbox (`fill`, under its lock) and kick its eventfd.
+  /// False, with nothing pushed, once r's loop has exited.
+  template <typename Fill>
+  bool post(reactor& r, Fill&& fill);
+  /// Write the output ring until drained or EAGAIN, then lift a read
+  /// pause the drained completions allow (reactor thread only).
   void flush_connection(reactor& r, const connection_ptr& conn);
-  /// Close every connection whose output stall outlived its budget.
-  void fire_stalls(reactor& r);
-  /// epoll timeout until the next stall deadline (-1 = forever).
-  [[nodiscard]] int next_stall_timeout_ms(reactor& r) const;
+  /// One sendmsg of the ring's front (out_mutex held), accounted and
+  /// popped. 0 when the ring is empty.
+  ssize_t write_ring(reactor& r, connection& conn);
+  /// Fire the due timers: close every connection whose output stall
+  /// outlived its budget, time out every parked try_acquire_for.
+  void fire_timers(reactor& r);
+  /// epoll timeout until the next timer (-1 = forever).
+  [[nodiscard]] int next_timeout_ms(reactor& r) const;
   /// Recompute and apply the connection's epoll interest mask from
   /// (paused, want_writable). Reactor thread only.
   void rearm(reactor& r, const connection_ptr& conn);
-  /// Pop the frames a writev of `wrote` bytes completed off the ring
-  /// (out_mutex held). Returns {frames, events} fully written.
-  static std::pair<std::uint64_t, std::uint64_t> pop_written(
-      connection& conn, std::size_t wrote);
   /// Append one encoded frame to the connection's output ring. Returns
   /// false if the frame was dropped (closed / ring overflow — overflow
   /// also starts the close). Sets need_post when the caller must
@@ -401,41 +453,70 @@ class server {
   bool enqueue_frame(const connection_ptr& conn,
                      std::shared_ptr<const std::vector<std::uint8_t>> bytes,
                      bool is_event, bool& need_post);
-  /// Hand the connection to its owner for a flush (inline when already
-  /// on that reactor's thread).
-  void post_flush(reactor& r, const connection_ptr& conn);
-  void post_flush_batch(reactor& r, std::vector<connection_ptr> conns);
-  void post_resume(reactor& r, const connection_ptr& conn);
-  void handle_resume(reactor& r, const connection_ptr& conn);
   /// Kick r's eventfd (coalesced by wake_pending).
   void wake(reactor& r);
-  void dispatch(const connection_ptr& conn, wire::request req);
-  /// Serve one non-blocking request (executor thread).
-  void serve(const pending& p);
-  /// Serve one blocking acquire-family request (waiter thread).
-  void serve_blocking(const pending& p);
-  /// Build the response for a decided acquire attempt.
+  /// Serve one decoded request on its reactor: answered inline, or by
+  /// the completion of the session op it started.
+  void serve(reactor& r, const connection_ptr& conn, wire::request req);
+  /// Answer `c` and release its in-flight slot. Any thread.
+  void reply(const call& c, wire::response r);
+  /// Count a completion the server must outlive (stop() waits for
+  /// zero); end_op once it has run.
+  void begin_op();
+  void end_op();
+  // The blocking-acquire continuation (reactor thread unless noted).
+  void start_waiter(reactor& r, const connection_ptr& conn,
+                    wire::request req);
+  void attempt(const waiter_ptr& w);
+  /// Run a posted waiter: a resume re-attempts; a verdict is answered,
+  /// or on a loss parks the waiter on the key's epoch.
+  void step_waiter(const waiter_ptr& w);
+  /// Withdraw a parked waiter; true iff its park will never fire.
+  bool unpark(const waiter_ptr& w);
+  void answer_waiter(const waiter_ptr& w, wire::response r);
+  /// Hand back a win nobody will use (connection gone). Any thread.
+  void reclaim_late_win(connection& conn, const std::string& key,
+                        std::uint64_t epoch);
+  /// Drop the waiter from the books (and its in-flight slot). Any
+  /// thread once the connection has closed.
+  void finish_waiter(const waiter_ptr& w);
+  /// Route a verdict or (empty) an epoch resume to w's reactor. Any
+  /// thread; settled by the caller when the reactor is gone.
+  void post_waiter(const waiter_ptr& w,
+                   std::optional<svc::acquire_result> verdict);
+  /// The answer to a decided acquire attempt (id/kind unset).
   [[nodiscard]] static wire::response acquire_response(
-      const wire::request& req, const svc::acquire_result& result);
+      const svc::acquire_result& result);
+  /// The not_primary redirect for `req` (cluster mode).
+  [[nodiscard]] wire::response redirect(const wire::request& req) const;
   /// Encode one response frame into the connection's output ring.
   void send_response(const connection_ptr& conn, const wire::response& r);
   /// The watch fast lane (hub notifier thread): encode the event once,
   /// append the shared buffer to every subscribed connection's ring,
   /// one inbox post + wakeup per reactor that has subscribers.
   void fanout_event(const svc::watch_event& e);
-  /// Register / cancel wire watches (executor thread).
-  void serve_watch(const pending& p, wire::response& r);
-  void serve_unwatch(const pending& p, wire::response& r);
-  /// The admin ops (executor thread); gated by config.enable_admin.
-  void serve_admin(const pending& p, wire::response& r);
+  /// Register / cancel wire watches.
+  void serve_watch(const connection_ptr& conn, const wire::request& req,
+                   wire::response& r);
+  void serve_unwatch(const connection_ptr& conn, const wire::request& req,
+                     wire::response& r);
+  /// Remove watch `id` (router_mutex_ held). Returns the hub
+  /// subscription to cancel after unlocking if it was the key's last.
+  std::uint64_t drop_watch_locked(std::uint64_t id);
+  /// The read-only admin ops; gated by config.enable_admin.
+  void serve_admin(const wire::request& req, wire::response& r);
   // HTTP side-channel (reactor 0 only): accept, buffer one request,
   // answer, close.
   void http_accept_ready(reactor& r);
   void http_read_ready(reactor& r, int fd);
   void http_close(reactor& r, int fd);
   void http_respond(int fd, const std::string& buffered);
+  /// Release one in-flight slot. Any thread: on the owning reactor a
+  /// pause lifts at once; elsewhere the answer sent next triggers the
+  /// flush that re-checks it.
   void complete(const connection_ptr& conn);
   void maybe_pause(reactor& r, const connection_ptr& conn);
+  void maybe_resume(reactor& r, const connection_ptr& conn);
   /// Initiate teardown from any thread: shutdown() the socket so the
   /// owning reactor sees it and runs finish_connection exactly once.
   void start_close(const connection_ptr& conn);
@@ -466,20 +547,18 @@ class server {
   /// begins immediately.
   std::size_t next_adopter_ = 1;
 
-  std::vector<std::thread> executors_;
   std::atomic<bool> stopping_{false};
 
   std::atomic<std::uint64_t> next_connection_id_{1};
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<pending> queue_;
+  /// Blocking acquires not yet answered, server-wide (max_waiters).
+  std::atomic<int> waiters_{0};
 
-  /// Waiter-thread accounting: spawn-if-below-cap, and stop() blocks
-  /// until the last waiter (they run detached) has finished.
-  std::mutex waiter_mutex_;
-  std::condition_variable waiter_cv_;
-  int active_waiters_ = 0;
+  /// Completions the server must outlive: a session op whose callback
+  /// has not run yet, or a parked waiter. stop() waits for zero.
+  std::mutex ops_mutex_;
+  std::condition_variable ops_drained_;
+  std::uint64_t ops_ = 0;
 
   /// Watch router state. Lock order: router_mutex_ before any
   /// connection's out_mutex (fanout path); hub calls (service_.watch /

@@ -23,8 +23,8 @@
 //
 // Rings survive their thread: a ring is leased to a thread for its
 // lifetime and returned to a free list at thread exit, so short-lived
-// threads (the server's detached waiter threads) reuse rings instead of
-// leaking one each, and their spans stay readable until the ring is
+// threads (a client's per-call helpers, test drivers) reuse rings
+// instead of leaking one each, and their spans stay readable until the ring is
 // overwritten by its next tenant.
 //
 // Slow-request capture: set_slow_threshold() arms a global threshold;

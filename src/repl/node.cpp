@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/oneshot.hpp"
 
 namespace elect::repl {
 
@@ -216,8 +217,6 @@ std::string_view to_string(role r) {
 node::node(cluster_config config, svc::service& service)
     : config_(std::move(config)),
       service_(service),
-      committed_shard_seq_(
-          static_cast<std::size_t>(service.registry().shard_count()), 0),
       floors_(static_cast<std::size_t>(service.registry().shard_count()), 0),
       rng_(config_.seed ^
            (0x9E3779B97F4A7C15ull *
@@ -237,7 +236,9 @@ node::~node() { stop(); }
 
 void node::start() {
   service_.set_commit_gate(
-      [this](const std::string& key) { return wait_committed(key); });
+      [this](const std::string& key, svc::commit_callback done) {
+        commit_async(key, std::move(done));
+      });
   for (int m = 0; m < static_cast<int>(config_.members.size()); ++m) {
     if (m == config_.self) continue;
     workers_.push_back(std::make_unique<peer_worker>(
@@ -260,13 +261,14 @@ void node::start() {
 
 void node::stop() {
   {
-    const std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (stop_) return;
     stop_ = true;
+    fail_commits_locked(nullptr);
+    run_deferred(lock);
   }
   tick_cv_.notify_all();
   work_cv_.notify_all();
-  commit_cv_.notify_all();
   if (ticker_.joinable()) ticker_.join();
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
@@ -372,8 +374,10 @@ void node::step_down_locked(std::uint64_t new_term) {
     service_.set_sweeper_suspended(true);
   }
   reset_election_deadline_locked();
-  // Gate waiters must bail: a deposed primary cannot ack anything.
-  commit_cv_.notify_all();
+  // Gate waiters must bail: a deposed primary cannot ack anything. Its
+  // parked acquirers are kicked too, so they re-check and redirect.
+  fail_commits_locked(nullptr);
+  if (was_primary) kick_parked_ = true;
 }
 
 void node::become_primary_locked(std::unique_lock<std::mutex>& lock) {
@@ -391,7 +395,7 @@ void node::become_primary_locked(std::unique_lock<std::mutex>& lock) {
   // belongs to a session that died with the old primary, so the TTL
   // plus the fence jump retire it; an acked one is preserved — never
   // silently re-granted from epoch 0.
-  apply_through_locked(log_.last_index(), /*committed=*/false);
+  apply_through_locked(log_.last_index());
   ELECT_CHECK_MSG(!needs_install_,
                   "promotion: registry diverged from this node's own log");
   // Barrier entry: asserts the new term at the log head, so this log
@@ -463,71 +467,104 @@ void node::advance_commit_locked() {
   // commit as the prefix of the first current-term entry (the
   // promotion barrier) that reaches a quorum.
   if (log_.term_at(candidate) != term_) return;
-  for (std::uint64_t i = commit_index_ + 1; i <= candidate; ++i) {
-    if (i < log_.first_index()) continue;  // compacted: long committed
-    const cmd::command& c = log_.at(i).change;
-    if (c.shard >= 0) {
-      auto& seq = committed_shard_seq_[static_cast<std::size_t>(c.shard)];
-      seq = std::max(seq, c.seq);
-    }
-  }
   commit_index_ = candidate;
   // The primary's registry is already ahead of the log (live path);
   // committed entries are never re-applied here.
   applied_index_ = std::max(applied_index_, commit_index_);
-  commit_cv_.notify_all();
+  release_commits_locked();
 }
 
 void node::maybe_compact_locked() {
-  if (log_.size() < config_.compact_threshold) return;
-  if (commit_index_ != log_.last_index()) return;
-  // Quiescent and over threshold: the registry state IS the log at
-  // commit_index_, so its snapshot is the compacted prefix. trim_log
-  // also drops the registry's own retained commands (the floors are
-  // already past them).
+  if (log_.size() < config_.compact_threshold || needs_install_) return;
+  // The registry state IS the log at `upto`: on the primary once every
+  // drained entry is committed (quiescent); on a follower — which
+  // applies committed entries only — at its applied index, unless it
+  // is a deposed primary still carrying an uncommitted live tail.
+  // Without the follower half a follower's log grew for its whole life.
+  std::uint64_t upto = 0;
+  if (role_ == role::primary) {
+    if (commit_index_ != log_.last_index()) return;
+    upto = commit_index_;
+  } else {
+    if (applied_index_ != commit_index_) return;
+    upto = applied_index_;
+  }
+  if (upto < log_.first_index()) return;  // nothing past the last compaction
+  // trim_log also drops the registry's own retained commands (the
+  // floors are already past them).
   auto bytes = service_.registry().snapshot(/*trim_log=*/true);
-  const std::uint64_t term = log_.term_at(commit_index_);
-  log_.compact_to(commit_index_, term, std::move(bytes));
+  const std::uint64_t term = log_.term_at(upto);
+  log_.compact_to(upto, term, std::move(bytes));
   ++counters_.compactions;
 }
 
 // --- Commit gate --------------------------------------------------------
 
-bool node::wait_committed(const std::string& key) {
+void node::commit_async(const std::string& /*key*/,
+                        svc::commit_callback done) {
   const auto start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(mu_);
-  if (stop_ || role_ != role::primary) return false;
-  drain_locked();
-  advance_commit_locked();  // single-member clusters commit right here
-  std::vector<std::pair<int, std::uint64_t>> targets;
-  if (key.empty()) {
-    const int shards = service_.registry().shard_count();
-    targets.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      targets.emplace_back(s, service_.registry().shard_last_seq(s));
-    }
-  } else {
-    const int s = service_.registry().shard_of(key);
-    targets.emplace_back(s, service_.registry().shard_last_seq(s));
+  if (stop_ || role_ != role::primary) {
+    lock.unlock();
+    done(false);
+    return;
   }
-  const auto reached = [&] {
-    for (const auto& [s, seq] : targets) {
-      if (committed_shard_seq_[static_cast<std::size_t>(s)] < seq) {
-        return false;
-      }
-    }
-    return true;
-  };
+  // The caller's mutation was applied before it asked, so it is in the
+  // registry's command log: after this drain it sits at or below the
+  // log head, and committing the head commits it.
+  drain_locked();
+  commit_waiters_.emplace(
+      log_.last_index(),
+      pending_commit{start,
+                     start + std::chrono::milliseconds(config_.commit_wait_ms),
+                     std::move(done)});
+  advance_commit_locked();  // single-member clusters commit right here
+  release_commits_locked();  // the head may have committed already
   work_cv_.notify_all();  // ship the batch now, not at the next heartbeat
-  const auto deadline =
-      start + std::chrono::milliseconds(config_.commit_wait_ms);
-  (void)commit_cv_.wait_until(lock, deadline, [&] {
-    return stop_ || role_ != role::primary || reached();
-  });
-  const bool ok = !stop_ && role_ == role::primary && reached();
-  if (!ok) ++counters_.commit_timeouts;
-  commit_latency_.add(to_ns(std::chrono::steady_clock::now() - start));
-  return ok;
+  run_deferred(lock);
+}
+
+bool node::wait_committed(const std::string& key) {
+  const oneshot<bool> committed;
+  commit_async(key, committed.setter());
+  return committed.wait();
+}
+
+void node::release_commits_locked() {
+  const auto now = std::chrono::steady_clock::now();
+  while (!commit_waiters_.empty() &&
+         commit_waiters_.begin()->first <= commit_index_) {
+    pending_commit& p = commit_waiters_.begin()->second;
+    commit_latency_.add(to_ns(now - p.start));
+    commits_ready_.emplace_back(std::move(p.done), true);
+    commit_waiters_.erase(commit_waiters_.begin());
+  }
+}
+
+void node::fail_commits_locked(
+    const std::chrono::steady_clock::time_point* now) {
+  const auto at = now != nullptr ? *now : std::chrono::steady_clock::now();
+  for (auto it = commit_waiters_.begin(); it != commit_waiters_.end();) {
+    if (now != nullptr && it->second.deadline > *now) {
+      ++it;
+      continue;
+    }
+    ++counters_.commit_timeouts;
+    commit_latency_.add(to_ns(at - it->second.start));
+    commits_ready_.emplace_back(std::move(it->second.done), false);
+    it = commit_waiters_.erase(it);
+  }
+}
+
+void node::run_deferred(std::unique_lock<std::mutex>& lock) {
+  if (commits_ready_.empty() && !kick_parked_) return;
+  auto ready = std::move(commits_ready_);
+  commits_ready_.clear();
+  const bool kick = std::exchange(kick_parked_, false);
+  lock.unlock();
+  for (auto& [done, committed] : ready) done(committed);
+  if (kick) service_.registry().wake_all_parked();
+  lock.lock();
 }
 
 // --- Ticker: drain, heartbeat pacing, election timeouts -----------------
@@ -545,7 +582,13 @@ void node::ticker_main() {
       drain_locked();
       advance_commit_locked();
       maybe_compact_locked();
-    } else if (std::chrono::steady_clock::now() >= election_deadline_) {
+      const auto now = std::chrono::steady_clock::now();
+      fail_commits_locked(&now);  // commit_wait_ms deadlines
+      run_deferred(lock);
+      continue;
+    }
+    maybe_compact_locked();
+    if (std::chrono::steady_clock::now() >= election_deadline_) {
       if (needs_install_) {
         // A diverged registry must not stand for election: if it won,
         // it would serve state the cluster discarded. Whoever deposed
@@ -587,6 +630,7 @@ void node::run_election() {
     std::unique_lock<std::mutex> lock(mu_);
     if (stop_ || term_ != term || role_ != role::candidate) return;
     become_primary_locked(lock);
+    run_deferred(lock);
   };
   if (votes >= config_.quorum()) {
     won();
@@ -602,9 +646,10 @@ void node::run_election() {
     vote_response_body granted;
     if (!decode(resp->body, granted)) continue;
     {
-      const std::lock_guard<std::mutex> lock(mu_);
+      std::unique_lock<std::mutex> lock(mu_);
       if (granted.term > term_) {
         step_down_locked(granted.term);
+        run_deferred(lock);
         return;
       }
       if (stop_ || term_ != term || role_ != role::candidate) return;
@@ -641,6 +686,7 @@ void node::worker_main(peer_worker& w) {
     }
     const std::uint64_t sent_failures = counters_.append_failures;
     replicate_once(w, lock);
+    run_deferred(lock);
     if (counters_.append_failures != sent_failures) {
       // The peer is unreachable; pace the retries at heartbeat cadence
       // instead of spinning on instant connection refusals.
@@ -781,18 +827,21 @@ net::wire::response node::answer(const net::wire::request& r,
 }
 
 net::wire::response node::handle_peer(const net::wire::request& r) {
+  std::unique_lock<std::mutex> lock(mu_);
+  net::wire::response out;
   switch (r.kind) {
-    case op::peer_vote: return handle_vote(r);
-    case op::peer_append: return handle_append(r);
-    case op::peer_snapshot: return handle_snapshot(r);
+    case op::peer_vote: out = handle_vote_locked(r); break;
+    case op::peer_append: out = handle_append_locked(r); break;
+    case op::peer_snapshot: out = handle_snapshot_locked(r); break;
     default: return answer(r, status::bad_request);
   }
+  run_deferred(lock);  // a higher term may have deposed this node
+  return out;
 }
 
-net::wire::response node::handle_vote(const net::wire::request& r) {
+net::wire::response node::handle_vote_locked(const net::wire::request& r) {
   vote_request_body q;
   if (!decode(r.body, q)) return answer(r, status::bad_request);
-  const std::lock_guard<std::mutex> lock(mu_);
   if (q.term > term_) step_down_locked(q.term);
   vote_response_body out;
   out.term = term_;
@@ -814,10 +863,9 @@ net::wire::response node::handle_vote(const net::wire::request& r) {
   return answer(r, status::ok, encode(out));
 }
 
-net::wire::response node::handle_append(const net::wire::request& r) {
+net::wire::response node::handle_append_locked(const net::wire::request& r) {
   append_request_body q;
   if (!decode(r.body, q)) return answer(r, status::bad_request);
-  const std::lock_guard<std::mutex> lock(mu_);
   append_response_body out;
   if (q.term < term_) {
     out.term = term_;
@@ -876,10 +924,10 @@ net::wire::response node::handle_append(const net::wire::request& r) {
 }
 
 void node::apply_committed_locked() {
-  apply_through_locked(commit_index_, /*committed=*/true);
+  apply_through_locked(commit_index_);
 }
 
-void node::apply_through_locked(std::uint64_t bound, bool committed) {
+void node::apply_through_locked(std::uint64_t bound) {
   while (applied_index_ < bound && !needs_install_) {
     const std::uint64_t idx = applied_index_ + 1;
     if (idx < log_.first_index()) {
@@ -887,31 +935,26 @@ void node::apply_through_locked(std::uint64_t bound, bool committed) {
       continue;
     }
     const cmd::command& c = log_.at(idx).change;
-    if (c.shard >= 0) {
-      // Seq filter: after a snapshot install the next appends can
-      // overlap state the snapshot already contains — identical
-      // commands, safe to skip. A seq *gap* is different: replay
-      // validation rejects it, and only a fresh install can heal.
-      if (c.seq > service_.registry().shard_last_seq(c.shard)) {
-        const auto err = service_.registry().apply(c);
-        if (err.has_value()) {
-          needs_install_ = true;
-          return;
-        }
-      }
-      if (committed) {
-        auto& seq = committed_shard_seq_[static_cast<std::size_t>(c.shard)];
-        seq = std::max(seq, c.seq);
+    // Seq filter: after a snapshot install the next appends can overlap
+    // state the snapshot already contains — identical commands, safe to
+    // skip. A seq *gap* is different: replay validation rejects it, and
+    // only a fresh install can heal.
+    if (c.shard >= 0 &&
+        c.seq > service_.registry().shard_last_seq(c.shard)) {
+      const auto err = service_.registry().apply(c);
+      if (err.has_value()) {
+        needs_install_ = true;
+        return;
       }
     }
     applied_index_ = idx;
   }
 }
 
-net::wire::response node::handle_snapshot(const net::wire::request& r) {
+net::wire::response node::handle_snapshot_locked(
+    const net::wire::request& r) {
   snapshot_request_body q;
   if (!decode(r.body, q)) return answer(r, status::bad_request);
-  const std::lock_guard<std::mutex> lock(mu_);
   snapshot_response_body out;
   if (q.term < term_) {
     out.term = term_;
@@ -935,10 +978,6 @@ net::wire::response node::handle_snapshot(const net::wire::request& r) {
   commit_index_ = q.last_index;
   applied_index_ = q.last_index;
   needs_install_ = false;
-  for (int s = 0; s < static_cast<int>(committed_shard_seq_.size()); ++s) {
-    committed_shard_seq_[static_cast<std::size_t>(s)] =
-        service_.registry().shard_last_seq(s);
-  }
   ++counters_.snapshots_installed;
   out.ok = true;
   return answer(r, status::ok, encode(out));

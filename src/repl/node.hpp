@@ -20,9 +20,12 @@
 // — the uncommitted suffix lives in the repl log alone, so a conflict
 // truncation never has to claw state back out of a registry. An entry
 // is committed when a quorum holds it; the commit-before-ack gate
-// (wait_committed, installed as the service's commit gate) holds every
-// client ack — grants *and renewals* — until the mutation's shard
-// watermark is committed. A primary partitioned from its quorum
+// (commit_async, installed as the service's commit gate) holds every
+// client ack — grants *and renewals* — until the log entry carrying the
+// mutation is committed: the ack's continuation waits on a completion
+// list ordered by log index, released as the commit index passes it and
+// run outside the node lock, so no thread parks per ack. A primary
+// partitioned from its quorum
 // therefore cannot confirm anything: its clients see
 // `connection_lost` and demote, which is the real zombie-safety
 // mechanism; the promotion-time fence (registry::fence_all with the
@@ -47,8 +50,10 @@
 // snapshot install rebases it.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -119,15 +124,23 @@ class node {
   [[nodiscard]] std::string primary_endpoint() const;
 
   /// Serve one peer op (peer_vote / peer_append / peer_snapshot).
-  /// Called from the net::server's executors; any malformed body gets
-  /// `bad_request`.
+  /// Called on the net::server reactor that read it; any malformed body
+  /// gets `bad_request`.
   [[nodiscard]] net::wire::response handle_peer(const net::wire::request& r);
 
-  /// The commit-before-ack gate (service::set_commit_gate target):
-  /// drain the registry's fresh commands into the log, then block
-  /// until the mutated shard's watermark (every shard for an empty
-  /// key) is quorum-committed. False on timeout, step-down, or stop —
-  /// the service answers the client `connection_lost`.
+  /// The commit-before-ack gate (the service's completion-style commit
+  /// gate): drain the registry's fresh commands into the log — the
+  /// caller's mutation, already applied, is among them or was drained
+  /// before — and call `done(true)` once the log head at that moment is
+  /// quorum-committed. `done(false)` on commit_wait_ms timeout,
+  /// step-down, or stop; the service answers the client
+  /// `connection_lost`. Never blocks: `done` runs inline (single-member
+  /// clusters, non-primaries) or later on a replication thread, outside
+  /// the node lock. `key` names the mutated key (empty = any shard);
+  /// the log-index target covers it either way.
+  void commit_async(const std::string& key, svc::commit_callback done);
+
+  /// Blocking wrapper over commit_async.
   [[nodiscard]] bool wait_committed(const std::string& key);
 
   /// Cluster status as a JSON object (admin_cluster_status body, and
@@ -167,34 +180,49 @@ class node {
   void replicate_once(peer_worker& w, std::unique_lock<std::mutex>& lock);
   void run_election();
 
+  /// A commit-gate continuation waiting for its log index to commit.
+  struct pending_commit {
+    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point deadline;
+    svc::commit_callback done;
+  };
+
   // All *_locked members require mu_.
   void drain_locked();
   void advance_commit_locked();
+  /// Move every gate continuation whose index is committed to the ready
+  /// list; fail (all, or only the expired with `now`) ones that never
+  /// will commit.
+  void release_commits_locked();
+  void fail_commits_locked(const std::chrono::steady_clock::time_point* now);
+  /// Run the ready continuations (and a deposed primary's kick of the
+  /// registry's parked acquirers) with the lock dropped, then relock.
+  void run_deferred(std::unique_lock<std::mutex>& lock);
+  /// Compact the log prefix the registry already reflects: on the
+  /// primary when every entry is committed, on a follower up to its
+  /// applied index once that equals the commit index.
   void maybe_compact_locked();
   void become_primary_locked(std::unique_lock<std::mutex>& lock);
   void step_down_locked(std::uint64_t new_term);
   void apply_committed_locked();
   /// Apply log entries up to `bound` into the registry (seq-filtered).
-  /// `committed` advances the committed shard watermarks too; promotion
-  /// passes false for the inherited, not-yet-committed suffix.
-  void apply_through_locked(std::uint64_t bound, bool committed);
+  /// Promotion passes the log head: the inherited, not-yet-committed
+  /// suffix is applied ahead of commit.
+  void apply_through_locked(std::uint64_t bound);
   void reset_election_deadline_locked();
   void persist_vote_locked();
   void load_vote_state();
   [[nodiscard]] net::wire::response answer(const net::wire::request& r,
                                            net::wire::status s,
                                            std::string body = {}) const;
-  net::wire::response handle_vote(const net::wire::request& r);
-  net::wire::response handle_append(const net::wire::request& r);
-  net::wire::response handle_snapshot(const net::wire::request& r);
+  net::wire::response handle_vote_locked(const net::wire::request& r);
+  net::wire::response handle_append_locked(const net::wire::request& r);
+  net::wire::response handle_snapshot_locked(const net::wire::request& r);
 
   cluster_config config_;
   svc::service& service_;
 
   mutable std::mutex mu_;
-  /// Signalled on commit advance, step-down, and stop — the commit
-  /// gate's wait condition.
-  std::condition_variable commit_cv_;
   /// Pokes the peer workers (fresh entries to ship, or stop).
   std::condition_variable work_cv_;
   /// Pokes the ticker (stop).
@@ -209,9 +237,13 @@ class node {
   std::uint64_t commit_index_ = 0;
   /// Follower apply watermark (== commit_index_ on a healthy member).
   std::uint64_t applied_index_ = 0;
-  /// Highest quorum-committed registry seq per shard — what the commit
-  /// gate compares against shard_last_seq.
-  std::vector<std::uint64_t> committed_shard_seq_;
+  /// The commit gate's completion list, keyed (and so ordered) by the
+  /// log index each continuation waits for.
+  std::multimap<std::uint64_t, pending_commit> commit_waiters_;
+  /// Continuations decided under the lock, run by run_deferred.
+  std::vector<std::pair<svc::commit_callback, bool>> commits_ready_;
+  /// Set by a step-down: parked acquirers must re-check (and redirect).
+  bool kick_parked_ = false;
   /// Drain floors per shard (primary only): last registry seq already
   /// appended to the log.
   std::vector<std::uint64_t> floors_;

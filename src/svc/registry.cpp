@@ -5,6 +5,7 @@
 
 #include "cmd/snapshot.hpp"
 #include "common/check.hpp"
+#include "common/oneshot.hpp"
 
 namespace elect::svc {
 
@@ -384,7 +385,7 @@ lease_status instance_registry::end_epoch_fenced(const std::string& key,
     apply_command_locked(s, it->second, c, /*from_replay=*/false);
     fenced = fence_after_end_locked(s, it->second, key, shard_index, c.at_ms);
   }
-  s.epoch_changed.notify_all();
+  wake_parked(s, &key);
   if (publish) hook_(c);
   if (fenced.has_value()) hook_(*fenced);
   return lease_status::ok;
@@ -423,7 +424,7 @@ lease_status instance_registry::release(const std::string& key, int session) {
     apply_command_locked(s, it->second, c, /*from_replay=*/false);
     fenced = fence_after_end_locked(s, it->second, key, shard_index, c.at_ms);
   }
-  s.epoch_changed.notify_all();
+  wake_parked(s, &key);
   if (publish) hook_(c);
   if (fenced.has_value()) hook_(*fenced);
   return lease_status::ok;
@@ -493,7 +494,7 @@ std::size_t instance_registry::bump_matching(
       }
     }
     if (bumped_here == 0) continue;
-    s.epoch_changed.notify_all();
+    wake_parked(s, nullptr);
     bumped += bumped_here;
     if (on_bumped) {
       for (std::size_t k = 0; k < bumped_here; ++k) {
@@ -595,7 +596,7 @@ lease_status instance_registry::force_release(const std::string& key) {
     apply_command_locked(s, it->second, c, /*from_replay=*/false);
     fenced = fence_after_end_locked(s, it->second, key, shard_index, c.at_ms);
   }
-  s.epoch_changed.notify_all();
+  wake_parked(s, &key);
   if (publish) hook_(c);
   if (fenced.has_value()) hook_(*fenced);
   return lease_status::ok;
@@ -725,7 +726,7 @@ std::optional<std::string> instance_registry::apply(const cmd::command& c) {
     }
     apply_command_locked(s, state, local, /*from_replay=*/true);
   }
-  s.epoch_changed.notify_all();
+  wake_parked(s, &c.key);
   return std::nullopt;
 }
 
@@ -852,7 +853,7 @@ std::optional<std::string> instance_registry::restore(
     }
   }
   if (fence_restored) {
-    for (auto& shard_ptr : shards_) shard_ptr->epoch_changed.notify_all();
+    for (auto& shard_ptr : shards_) wake_parked(*shard_ptr, nullptr);
     for (const cmd::command& c : fenced) hook_(c);
   }
   return std::nullopt;
@@ -878,7 +879,7 @@ std::optional<std::string> instance_registry::install_snapshot(
   // Waiters re-evaluate against the installed (or cleared) state; the
   // wait predicate re-probes the key map on every wakeup, so the clear
   // above cannot leave one holding a dangling reference.
-  for (auto& shard_ptr : shards_) shard_ptr->epoch_changed.notify_all();
+  for (auto& shard_ptr : shards_) wake_parked(*shard_ptr, nullptr);
   return error;
 }
 
@@ -920,7 +921,7 @@ std::size_t instance_registry::fence_all(std::uint64_t bump) {
       }
     }
     if (fenced_here == 0) continue;
-    s.epoch_changed.notify_all();
+    wake_parked(s, nullptr);
     fenced += fenced_here;
     for (const cmd::command& c : events) hook_(c);
     events.clear();
@@ -928,34 +929,109 @@ std::size_t instance_registry::fence_all(std::uint64_t bump) {
   return fenced;
 }
 
+std::uint64_t instance_registry::park_until_epoch_above(
+    const std::string& key, std::uint64_t epoch, epoch_callback fn) {
+  shard& s = shard_for(key);
+  {
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    // shutdown() stores its flag before taking each shard lock to collect
+    // parked continuations, so a park either lands in the map before that
+    // collection or sees the flag here — never stranded past stop().
+    const auto probe = s.keys.find(key);
+    const bool ready =
+        shutdown_.load(std::memory_order_relaxed) ||
+        (probe != s.keys.end() && probe->second.entry.epoch > epoch);
+    if (!ready) {
+      const std::uint64_t id =
+          next_park_id_.fetch_add(1, std::memory_order_relaxed);
+      s.parked[key].push_back(parked_waiter{id, epoch, std::move(fn)});
+      s.parked_count.fetch_add(1, std::memory_order_relaxed);
+      return id;
+    }
+  }
+  fn();
+  return 0;
+}
+
+bool instance_registry::cancel_park(const std::string& key, std::uint64_t id) {
+  shard& s = shard_for(key);
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  const auto it = s.parked.find(key);
+  if (it == s.parked.end()) return false;
+  auto& waiters = it->second;
+  const auto w = std::find_if(waiters.begin(), waiters.end(),
+                              [id](const parked_waiter& p) { return p.id == id; });
+  if (w == waiters.end()) return false;
+  waiters.erase(w);
+  if (waiters.empty()) s.parked.erase(it);
+  s.parked_count.fetch_sub(1, std::memory_order_relaxed);
+  return true;
+}
+
+void instance_registry::wake_parked(shard& s, const std::string* key,
+                                    bool all) {
+  // The count is only a shortcut for epoch moves: the mover changed the
+  // epoch under the lock, so a park it misses here sees the new epoch.
+  // A shutdown or kick changes no epoch and must take the lock.
+  if (!all && s.parked_count.load(std::memory_order_relaxed) == 0) return;
+  std::vector<epoch_callback> ready;
+  {
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    all = all || shutdown_.load(std::memory_order_relaxed);
+    // Move out every continuation of one key whose condition holds. The
+    // key map is re-probed here, never cached: install_snapshot() clears
+    // and repopulates it under this same lock.
+    const auto take = [&](const std::string& k,
+                          std::vector<parked_waiter>& waiters) {
+      const auto probe = s.keys.find(k);
+      const std::uint64_t now_epoch =
+          probe == s.keys.end() ? 0 : probe->second.entry.epoch;
+      const auto keep = std::partition(
+          waiters.begin(), waiters.end(), [&](const parked_waiter& w) {
+            return !all && (probe == s.keys.end() || now_epoch <= w.epoch);
+          });
+      for (auto it = keep; it != waiters.end(); ++it) {
+        ready.push_back(std::move(it->fn));
+      }
+      waiters.erase(keep, waiters.end());
+    };
+    if (key != nullptr) {
+      const auto it = s.parked.find(*key);
+      if (it != s.parked.end()) {
+        take(it->first, it->second);
+        if (it->second.empty()) s.parked.erase(it);
+      }
+    } else {
+      for (auto it = s.parked.begin(); it != s.parked.end();) {
+        take(it->first, it->second);
+        it = it->second.empty() ? s.parked.erase(it) : std::next(it);
+      }
+    }
+    s.parked_count.fetch_sub(ready.size(), std::memory_order_relaxed);
+  }
+  for (auto& fn : ready) fn();
+}
+
+void instance_registry::wake_all_parked() {
+  for (auto& shard_ptr : shards_) wake_parked(*shard_ptr, nullptr, true);
+}
+
 bool instance_registry::wait_for_epoch_above_impl(
     const std::string& key, std::uint64_t epoch,
     const clock::time_point* deadline) {
-  shard& s = shard_for(key);
-  std::unique_lock<std::mutex> lock(s.mutex);
-  // Re-probe the key on every wakeup rather than caching a reference:
-  // install_snapshot() clears and repopulates the key map under this
-  // same lock, so a reference resolved before the install would dangle.
-  // A never-acquired key sits at epoch 0 implicitly — waiting must not
-  // create state or burn an instance id for it.
-  //
-  // shutdown() counts as "woken" so a waiter parked across stop()
-  // retries immediately and comes back rejected instead of sleeping
-  // forever (or, timed, sleeping out its timeout).
-  const auto woken = [&] {
-    if (shutdown_.load(std::memory_order_relaxed)) return true;
-    const auto probe = s.keys.find(key);
-    if (probe == s.keys.end()) return false;  // implicit epoch 0, never > epoch
-    return probe->second.entry.epoch > epoch;
-  };
-  if (deadline == nullptr) {
-    s.epoch_changed.wait(lock, woken);
-    return true;
-  }
+  // A thin wrapper over the continuation.
+  const oneshot<bool> fired;
+  const std::uint64_t id =
+      park_until_epoch_above(key, epoch, [set = fired.setter()] { set(true); });
+  if (id == 0) return true;
   // Not wait_until(time_point::max()) for the untimed path: libstdc++
   // implements non-system-clock waits via a now()-relative delta, which
   // overflows on max().
-  return s.epoch_changed.wait_until(lock, *deadline, woken);
+  if (deadline == nullptr) return fired.wait();
+  if (fired.wait_until(*deadline).has_value()) return true;
+  // Timed out — unless the continuation was taken for firing meanwhile,
+  // in which case the wakeup counts.
+  return !cancel_park(key, id);
 }
 
 void instance_registry::wait_for_epoch_above(const std::string& key,
@@ -971,13 +1047,7 @@ bool instance_registry::wait_for_epoch_above_until(const std::string& key,
 
 void instance_registry::shutdown() {
   shutdown_.store(true, std::memory_order_relaxed);
-  for (auto& shard_ptr : shards_) {
-    // Empty critical section: a waiter between its predicate check and
-    // its wait must observe the flag before we notify, or it would sleep
-    // through the only wakeup.
-    { const std::lock_guard<std::mutex> lock(shard_ptr->mutex); }
-    shard_ptr->epoch_changed.notify_all();
-  }
+  for (auto& shard_ptr : shards_) wake_parked(*shard_ptr, nullptr, true);
 }
 
 std::size_t instance_registry::keys_in_shard(int shard_index) const {

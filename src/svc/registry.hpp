@@ -57,7 +57,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -329,23 +328,45 @@ class instance_registry {
   std::size_t sweep_expired(clock::time_point now,
                             const std::function<void(int)>& on_expired = {});
 
-  /// Block until `key`'s epoch exceeds `epoch` (i.e. a release or expiry
-  /// happened after the caller lost that epoch's election), or until
-  /// shutdown(). A key that has never been acquired counts as epoch 0;
-  /// waiting does not create key state or burn an instance id.
+  /// A parked epoch continuation (see park_until_epoch_above).
+  using epoch_callback = std::function<void()>;
+
+  /// Park `fn` until `key`'s epoch exceeds `epoch` (a release, expiry or
+  /// fence ended the epoch the caller lost), shutdown() fires, or
+  /// wake_all_parked() kicks it. It runs once, outside the shard lock,
+  /// on the thread that moved the epoch — or inline, returning 0, when
+  /// the condition already holds. Otherwise returns a handle for
+  /// cancel_park. A key that has never been acquired counts as epoch 0;
+  /// parking does not create key state or burn an instance id. This is
+  /// the one wait primitive: the network edge parks wire acquires here
+  /// (no thread per waiter), and the blocking waits below are wrappers.
+  std::uint64_t park_until_epoch_above(const std::string& key,
+                                       std::uint64_t epoch,
+                                       epoch_callback fn);
+
+  /// Withdraw a parked continuation. True iff it had not been taken for
+  /// firing — it will never run. False means it ran or is running.
+  bool cancel_park(const std::string& key, std::uint64_t id);
+
+  /// Fire every parked continuation now, whatever its epoch: a spurious
+  /// wakeup the owners re-check. A cluster node kicks its waiters this
+  /// way when it is deposed, so parked acquires learn to go elsewhere.
+  void wake_all_parked();
+
+  /// Block until `key`'s epoch exceeds `epoch`, or until shutdown(); may
+  /// also return on a wake_all_parked() kick.
   void wait_for_epoch_above(const std::string& key, std::uint64_t epoch);
 
   /// Timed variant: additionally give up at `deadline`. Returns true
-  /// when the epoch advanced (or shutdown() fired — the caller's retry
-  /// then comes back rejected), false on timeout with the epoch
-  /// unchanged.
+  /// when woken (epoch advanced, shutdown() — the caller's retry then
+  /// comes back rejected — or a kick), false on timeout.
   [[nodiscard]] bool wait_for_epoch_above_until(const std::string& key,
                                                 std::uint64_t epoch,
                                                 clock::time_point deadline);
 
-  /// Wake every epoch waiter and make current/future waits return
-  /// immediately. Called by the service's stop() so blocked acquirers
-  /// fail over to a rejected acquire instead of sleeping forever.
+  /// Fire every parked continuation and make future parks fire at once.
+  /// Called by the service's stop() so blocked acquirers fail over to a
+  /// rejected acquire instead of sleeping forever.
   void shutdown();
 
   /// Keys registered in one shard / in total (for distribution checks).
@@ -511,10 +532,20 @@ class instance_registry {
     std::uint64_t pending_fence = 0;
   };
 
+  struct parked_waiter {
+    std::uint64_t id = 0;
+    std::uint64_t epoch = 0;
+    epoch_callback fn;
+  };
+
   struct shard {
     mutable std::mutex mutex;
-    std::condition_variable epoch_changed;
     std::unordered_map<std::string, key_state> keys;
+    /// Continuations parked on a key's epoch (park_until_epoch_above),
+    /// guarded by `mutex`. parked_count mirrors their number so the
+    /// mutation paths skip the wake scan with one load when none wait.
+    std::unordered_map<std::string, std::vector<parked_waiter>> parked;
+    std::atomic<std::size_t> parked_count{0};
     /// Retained command log (appended only while recording) and the
     /// shard's watermark: seq/logical-time of the last command executed
     /// here, live or replayed. All guarded by `mutex`.
@@ -526,11 +557,15 @@ class instance_registry {
 
   shard& shard_for(const std::string& key);
   key_state& state_locked(shard& s, const std::string& key);
-  /// Shared body of the epoch waits: park until `key`'s epoch exceeds
-  /// `epoch` or shutdown() fires (-> true), or until `deadline` passes
-  /// (-> false; nullptr waits forever).
+  /// Shared body of the blocking epoch waits: park, then sleep until
+  /// fired (-> true) or `deadline` passes (-> false; nullptr waits
+  /// forever).
   bool wait_for_epoch_above_impl(const std::string& key, std::uint64_t epoch,
                                  const clock::time_point* deadline);
+  /// After a mutation of shard `s` (lock released): fire the parked
+  /// continuations whose condition now holds — for `key` only, or for
+  /// every key when `key` is null; `all` fires regardless of epoch.
+  void wake_parked(shard& s, const std::string* key, bool all = false);
   /// Allocate a fresh instance id; aborts at instance_id_limit (see
   /// file comment) instead of wrapping the 32-bit var_id namespace.
   [[nodiscard]] election::election_id allocate_instance();
@@ -538,7 +573,7 @@ class instance_registry {
   /// stamped with (steady-based: immune to wall-clock jumps).
   [[nodiscard]] std::uint64_t logical_now_ms() const;
   /// Bump `key` to a fresh (instance, epoch) with no holder. Caller holds
-  /// the shard lock and must notify epoch_changed after unlocking.
+  /// the shard lock and must wake_parked after unlocking.
   void bump_epoch_locked(key_state& state);
   /// Stamp both lease-deadline representations from a grant/renewal
   /// command (steady deadline derived from the logical one, so live and
@@ -564,7 +599,7 @@ class instance_registry {
       shard& s, key_state& state, const std::string& key,
       std::int32_t shard_index, std::uint64_t at_ms);
   /// Scan every shard and bump every key matching `predicate` (checked
-  /// under the shard lock); waiters are notified per shard and
+  /// under the shard lock); waiters are woken per shard and
   /// `on_bumped(shard_index)` runs once per bumped key, under no lock.
   /// Each bump emits a `kind` command for the ended epoch.
   /// Shared engine of release_all / reclaim_all (match: held by one
@@ -582,6 +617,7 @@ class instance_registry {
 
   std::vector<std::unique_ptr<shard>> shards_;
   std::atomic<std::uint64_t> next_instance_;
+  std::atomic<std::uint64_t> next_park_id_{1};
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> recording_{false};
   /// Origin of the logical clock.

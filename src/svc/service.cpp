@@ -1,8 +1,10 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
+#include "common/oneshot.hpp"
 #include "obs/trace.hpp"
 
 namespace elect::svc {
@@ -25,6 +27,18 @@ std::uint64_t to_trace_ns(std::chrono::steady_clock::time_point tp) {
 }
 
 }  // namespace
+
+template <typename T, typename Start>
+T service::await_gated(Start&& start) {
+  if (!commit_gate_) {
+    T out{};
+    start([&out](T value) { out = std::move(value); });
+    return out;
+  }
+  const oneshot<T> result;
+  start(result.setter());
+  return result.wait();
+}
 
 std::optional<std::string> service_config::validate() const {
   if (nodes <= 0) {
@@ -198,11 +212,16 @@ std::size_t service::sweep_now() {
 }
 
 lease_status service::force_release(const std::string& key) {
+  return await_gated<lease_status>(
+      [&](status_callback done) { force_release(key, std::move(done)); });
+}
+
+void service::force_release(const std::string& key, status_callback done) {
   const lease_status status = registry_.force_release(key);
   if (status == lease_status::ok) {
     metrics_.record_forced_release(registry_.shard_of(key));
   }
-  return gate_lease_op(key, status);
+  gate_lease_op(key, status, std::move(done));
 }
 
 void service::render_command(const cmd::command& c) {
@@ -280,12 +299,20 @@ void service::sweeper_main() {
 // has it. The gate itself lives in the repl layer; the service only
 // converts a failed wait into the sever verdict.
 
-acquire_result service::gate_acquire(acquire_result result,
-                                     const std::string& key) {
-  if (!result.won || !commit_gate_ || commit_gate_(key)) return result;
-  // The grant applied locally but never reached a quorum: this primary
-  // may not confirm it. Failover reconciles the registry; the caller
-  // must treat the lease as never granted.
+void service::set_commit_gate(std::function<bool(const std::string&)> gate) {
+  commit_gate_ = [gate = std::move(gate)](const std::string& key,
+                                          commit_callback done) {
+    done(gate(key));
+  };
+}
+
+namespace {
+
+/// A won attempt whose grant never committed: the grant applied locally
+/// but never reached a quorum, so this primary may not confirm it.
+/// Failover reconciles the registry; the caller must treat the lease as
+/// never granted.
+acquire_result uncommitted(acquire_result result) {
   result.won = false;
   result.fast_path = false;
   result.rejected = true;
@@ -293,17 +320,38 @@ acquire_result service::gate_acquire(acquire_result result,
   return result;
 }
 
-lease_status service::gate_lease_op(const std::string& key,
-                                    lease_status status) {
-  if (status != lease_status::ok || !commit_gate_ || commit_gate_(key)) {
-    return status;
+}  // namespace
+
+void service::gate_acquire(acquire_result result, const std::string& key,
+                           acquire_callback done) {
+  if (!result.won || !commit_gate_) {
+    done(result);
+    return;
   }
-  return lease_status::connection_lost;
+  commit_gate_(key, [result = std::move(result),
+                     done = std::move(done)](bool committed) {
+    done(committed ? result : uncommitted(result));
+  });
 }
 
-std::size_t service::gate_multi_release(std::size_t count) {
-  if (count != 0 && commit_gate_) commit_gate_(std::string());
-  return count;
+void service::gate_lease_op(const std::string& key, lease_status status,
+                            status_callback done) {
+  if (status != lease_status::ok || !commit_gate_) {
+    done(status);
+    return;
+  }
+  commit_gate_(key, [done = std::move(done)](bool committed) {
+    done(committed ? lease_status::ok : lease_status::connection_lost);
+  });
+}
+
+void service::gate_multi_release(std::size_t count, count_callback done) {
+  if (count == 0 || !commit_gate_) {
+    done(count);
+    return;
+  }
+  commit_gate_(std::string(),
+               [count, done = std::move(done)](bool) { done(count); });
 }
 
 // ---------------------------------------------------------------------
@@ -411,17 +459,7 @@ election::strategy& service::protocol_for(
 engine::task<std::int64_t> service::driver(engine::node& node, worker& w) {
   for (;;) {
     job* j = co_await next_job{w};
-    if (j->shutdown) {
-      // Notify under the lock: the moment a waiter can observe done the
-      // job (on its owner's stack) may be destroyed, so an unlocked
-      // notify would race the cv's destruction.
-      {
-        const std::lock_guard<std::mutex> lock(j->mutex);
-        j->done = true;
-        j->cv.notify_all();
-      }
-      co_return 0;
-    }
+    if (j->shutdown) co_return 0;  // stop() owns it and waits on the pool
 
     const instance_entry entry = j->entry;
     acquire_result result;
@@ -492,36 +530,35 @@ engine::task<std::int64_t> service::driver(engine::node& node, worker& w) {
     metrics_.record_acquire(registry_.shard_of(j->key), j->kind, result.won,
                             result.latency_ns);
 
-    {
-      // Notify under the lock — see the shutdown path above: the client
-      // frees the job as soon as it observes done.
-      const std::lock_guard<std::mutex> lock(j->mutex);
-      j->result = result;
-      j->done = true;
-      j->cv.notify_all();
-    }
+    // The job is ours to free. The continuation (commit gate, then the
+    // caller's callback) runs here on the node thread: it only wakes a
+    // blocked caller or enqueues an answer, never blocks.
+    const std::unique_ptr<job> owned(j);
+    owned->on_done(result);
   }
 }
 
-acquire_result service::run_acquire(int session_id, process_id pid,
-                                    const std::string& key) {
-  // Shared early-out for the three ways stop() turns an acquire away.
-  const auto reject = [this] {
-    metrics_.record_rejected_acquire();
-    acquire_result rejected;
-    rejected.rejected = true;
-    return rejected;
+std::unique_ptr<service::job> service::start_attempt(
+    int session_id, const std::string& key, acquire_result& decided) {
+  const election::strategy_kind kind = strategy_for(key);
+  const std::uint64_t trace = obs::current();
+  const auto submitted = std::chrono::steady_clock::now();
+  const auto to_driver = [&](const instance_entry& entry) {
+    auto j = std::make_unique<job>();
+    j->key = key;
+    j->session_id = session_id;
+    j->kind = kind;
+    j->entry = entry;
+    j->trace = trace;
+    j->submitted = submitted;
+    return j;
   };
-
-  job j;
-  j.key = key;
-  j.session_id = session_id;
-  j.kind = strategy_for(key);
-  j.trace = obs::current();
-  j.submitted = std::chrono::steady_clock::now();
   // A cheap unlocked early-out; the authoritative stop() check is inside
   // submit() (under the worker lock, via draining).
-  if (stopped_.load(std::memory_order_relaxed)) return reject();
+  if (stopped_.load(std::memory_order_relaxed)) {
+    decided = rejected_acquire();
+    return nullptr;
+  }
   // Register the attempt (this is the contention estimate's input) and
   // pin the (instance, epoch) the attempt contends. For `adaptive` the
   // registration is fused with the fast path, on the *client* thread:
@@ -531,50 +568,90 @@ acquire_result service::run_acquire(int session_id, process_id pid,
   // is skipped entirely. On conflict the epoch is simply lost (epoch
   // fencing makes a double grant impossible); only an armed protocol
   // sends us down the distributed path ourselves.
-  if (j.kind == election::strategy_kind::adaptive) {
-    const std::uint64_t fast_start = j.trace != 0 ? obs::now_ns() : 0;
-    const adaptive_attempt attempt =
-        registry_.begin_adaptive_attempt(key, session_id, lease_ttl());
-    if (j.trace != 0) {
-      obs::record_for(j.trace, obs::phase::fast_path, fast_start,
-                      obs::now_ns());
-    }
-    j.entry = attempt.attempt.entry;
-    if (attempt.fast_attempted) {
-      const fast_claim_result& fast = attempt.fast;
-      if (fast.outcome == fast_claim_outcome::shutdown) return reject();
-      if (fast.outcome != fast_claim_outcome::armed) {
-        acquire_result result;
-        result.epoch = j.entry.epoch;
-        result.instance = j.entry.instance;
-        result.won = fast.outcome == fast_claim_outcome::claimed;
-        result.fast_path = result.won;
-        result.lease_deadline = fast.deadline;
-        result.latency_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - j.submitted)
-                .count());
-        if (result.won) {
-          metrics_.record_fast_path_hit();
-        } else {
-          metrics_.record_fast_path_conflict();
-        }
-        metrics_.record_acquire(registry_.shard_of(key), j.kind, result.won,
-                                result.latency_ns);
-        return gate_acquire(std::move(result), key);
-      }
-      metrics_.record_fast_path_fallback();
-    }
-  } else {
-    j.entry = registry_.begin_attempt(key).entry;
+  if (kind != election::strategy_kind::adaptive) {
+    return to_driver(registry_.begin_attempt(key).entry);
   }
+  const std::uint64_t fast_start = trace != 0 ? obs::now_ns() : 0;
+  const adaptive_attempt attempt =
+      registry_.begin_adaptive_attempt(key, session_id, lease_ttl());
+  if (trace != 0) {
+    obs::record_for(trace, obs::phase::fast_path, fast_start, obs::now_ns());
+  }
+  const instance_entry& entry = attempt.attempt.entry;
+  if (!attempt.fast_attempted) return to_driver(entry);
+  const fast_claim_result& fast = attempt.fast;
+  if (fast.outcome == fast_claim_outcome::shutdown) {
+    decided = rejected_acquire();
+    return nullptr;
+  }
+  if (fast.outcome == fast_claim_outcome::armed) {
+    metrics_.record_fast_path_fallback();
+    return to_driver(entry);
+  }
+  decided = acquire_result{};
+  decided.epoch = entry.epoch;
+  decided.instance = entry.instance;
+  decided.won = fast.outcome == fast_claim_outcome::claimed;
+  decided.fast_path = decided.won;
+  decided.lease_deadline = fast.deadline;
+  decided.latency_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - submitted)
+          .count());
+  if (decided.won) {
+    metrics_.record_fast_path_hit();
+  } else {
+    metrics_.record_fast_path_conflict();
+  }
+  metrics_.record_acquire(registry_.shard_of(key), kind, decided.won,
+                          decided.latency_ns);
+  return nullptr;
+}
 
-  // A refused submit means the drivers are shutting down; fail the
-  // acquire softly.
-  if (!submit(pid, j)) return reject();
-  std::unique_lock<std::mutex> lock(j.mutex);
-  j.cv.wait(lock, [&] { return j.done; });
-  return gate_acquire(std::move(j.result), key);
+acquire_result service::run_acquire(int session_id, process_id pid,
+                                    const std::string& key) {
+  acquire_result decided;
+  if (std::unique_ptr<job> j = start_attempt(session_id, key, decided)) {
+    const oneshot<acquire_result> elected;
+    j->on_done = elected.setter();
+    // A refused submit means the drivers are shutting down; fail the
+    // acquire softly.
+    if (submit(pid, *j)) {
+      (void)j.release();  // the driver frees it
+      decided = elected.wait();
+    } else {
+      decided = rejected_acquire();
+    }
+  }
+  return await_gated<acquire_result>([&](acquire_callback done) {
+    gate_acquire(std::move(decided), key, std::move(done));
+  });
+}
+
+void service::run_acquire(int session_id, process_id pid,
+                          const std::string& key, acquire_callback done) {
+  acquire_result decided;
+  std::unique_ptr<job> j = start_attempt(session_id, key, decided);
+  if (!j) {
+    gate_acquire(std::move(decided), key, std::move(done));
+    return;
+  }
+  j->on_done = [this, key, done = std::move(done)](
+                   acquire_result result) mutable {
+    gate_acquire(std::move(result), key, std::move(done));
+  };
+  if (submit(pid, *j)) {
+    (void)j.release();  // the driver frees it
+    return;
+  }
+  j->on_done(rejected_acquire());
+}
+
+acquire_result service::rejected_acquire() {
+  metrics_.record_rejected_acquire();
+  acquire_result rejected;
+  rejected.rejected = true;
+  return rejected;
 }
 
 // ---------------------------------------------------------------------
@@ -631,48 +708,101 @@ lease_status service::count_lease_op(const std::string& key,
 }
 
 lease_status service::session::release(const std::string& key) {
-  const obs::scoped_span span(obs::phase::lease_op);
-  return owner_->gate_lease_op(
-      key, owner_->count_lease_op(key, owner_->registry_.release(key, id_),
-                                  /*renewal=*/false, 0));
+  return owner_->await_gated<lease_status>(
+      [&](status_callback done) { release(key, std::move(done)); });
 }
 
 lease_status service::session::release(const std::string& key,
                                        std::uint64_t epoch) {
-  const obs::scoped_span span(obs::phase::lease_op);
-  return owner_->gate_lease_op(
-      key,
-      owner_->count_lease_op(key, owner_->registry_.release(key, id_, epoch),
-                             /*renewal=*/false, epoch));
+  return owner_->await_gated<lease_status>(
+      [&](status_callback done) { release(key, epoch, std::move(done)); });
 }
 
 lease_status service::session::renew(const std::string& key,
                                      std::uint64_t epoch) {
-  const obs::scoped_span span(obs::phase::lease_op);
-  return owner_->gate_lease_op(
-      key, owner_->count_lease_op(
-               key,
-               owner_->registry_.renew(key, id_, epoch, owner_->lease_ttl()),
-               /*renewal=*/true, epoch));
-}
-
-std::size_t service::session::disconnect() {
-  return owner_->gate_multi_release(owner_->registry_.release_all(
-      id_, [this](int shard) { owner_->metrics_.record_release(shard); }));
+  return owner_->await_gated<lease_status>(
+      [&](status_callback done) { renew(key, epoch, std::move(done)); });
 }
 
 lease_status service::session::reclaim(const std::string& key,
                                        std::uint64_t epoch) {
-  const obs::scoped_span span(obs::phase::lease_op);
-  return owner_->gate_lease_op(
-      key,
-      owner_->count_lease_op(key, owner_->registry_.reclaim(key, id_, epoch),
-                             /*renewal=*/false, epoch));
+  return owner_->await_gated<lease_status>(
+      [&](status_callback done) { reclaim(key, epoch, std::move(done)); });
+}
+
+std::size_t service::session::disconnect() {
+  return owner_->await_gated<std::size_t>(
+      [&](count_callback done) { disconnect(std::move(done)); });
 }
 
 std::size_t service::session::reclaim_all() {
-  return owner_->gate_multi_release(owner_->registry_.reclaim_all(
-      id_, [this](int shard) { owner_->metrics_.record_release(shard); }));
+  return owner_->await_gated<std::size_t>(
+      [&](count_callback done) { reclaim_all(std::move(done)); });
+}
+
+void service::session::try_acquire(const std::string& key,
+                                   acquire_callback done) {
+  owner_->run_acquire(id_, pid_, key, std::move(done));
+}
+
+void service::session::release(const std::string& key, status_callback done) {
+  lease_status status;
+  {
+    const obs::scoped_span span(obs::phase::lease_op);
+    status = owner_->count_lease_op(key, owner_->registry_.release(key, id_),
+                                    /*renewal=*/false, 0);
+  }
+  owner_->gate_lease_op(key, status, std::move(done));
+}
+
+void service::session::release(const std::string& key, std::uint64_t epoch,
+                               status_callback done) {
+  lease_status status;
+  {
+    const obs::scoped_span span(obs::phase::lease_op);
+    status = owner_->count_lease_op(
+        key, owner_->registry_.release(key, id_, epoch), /*renewal=*/false,
+        epoch);
+  }
+  owner_->gate_lease_op(key, status, std::move(done));
+}
+
+void service::session::renew(const std::string& key, std::uint64_t epoch,
+                             status_callback done) {
+  lease_status status;
+  {
+    const obs::scoped_span span(obs::phase::lease_op);
+    status = owner_->count_lease_op(
+        key, owner_->registry_.renew(key, id_, epoch, owner_->lease_ttl()),
+        /*renewal=*/true, epoch);
+  }
+  owner_->gate_lease_op(key, status, std::move(done));
+}
+
+void service::session::reclaim(const std::string& key, std::uint64_t epoch,
+                               status_callback done) {
+  lease_status status;
+  {
+    const obs::scoped_span span(obs::phase::lease_op);
+    status = owner_->count_lease_op(
+        key, owner_->registry_.reclaim(key, id_, epoch), /*renewal=*/false,
+        epoch);
+  }
+  owner_->gate_lease_op(key, status, std::move(done));
+}
+
+void service::session::disconnect(count_callback done) {
+  owner_->gate_multi_release(
+      owner_->registry_.release_all(
+          id_, [this](int shard) { owner_->metrics_.record_release(shard); }),
+      std::move(done));
+}
+
+void service::session::reclaim_all(count_callback done) {
+  owner_->gate_multi_release(
+      owner_->registry_.reclaim_all(
+          id_, [this](int shard) { owner_->metrics_.record_release(shard); }),
+      std::move(done));
 }
 
 std::vector<std::string> service::session::held_keys() const {

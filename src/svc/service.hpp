@@ -39,11 +39,19 @@
 //     propagate/collect for every instance, so elections tolerate up to
 //     ceil(pool/2)-1 slow nodes exactly as the paper's model promises.
 //
-// Threading contract: session calls (try_acquire / acquire / release /
-// renew) block the *calling* OS thread; protocol work happens on the
-// pool threads. stop() is safe to call while clients are mid-call:
-// in-flight acquires drain or come back with `rejected` set, and blocked
-// acquirers are woken — nothing aborts and nothing hangs.
+// Threading contract: every session op has a completion-style form
+// (the overloads taking a callback) that never blocks the caller: the
+// callback runs exactly once, inline when the op is decided on the
+// spot (the adaptive fast path, lease ops with no commit gate) or later
+// on the thread that finishes it — the pool node whose driver ran the
+// election, or the replication thread that saw the commit. The network
+// edge serves every wire request through these from its reactors. The
+// plain forms (try_acquire / acquire / release / renew ...) block the
+// *calling* OS thread and are thin wrappers over the same steps;
+// protocol work happens on the pool threads either way. stop() is safe
+// to call while clients are mid-call: in-flight acquires drain or come
+// back with `rejected` set, and blocked acquirers are woken — nothing
+// aborts and nothing hangs.
 #pragma once
 
 #include <array>
@@ -162,6 +170,17 @@ struct acquire_result {
   std::chrono::steady_clock::time_point lease_deadline{};
 };
 
+/// Completions for the callback-style session ops. Each runs exactly
+/// once — inline, on a pool node thread, or on the replication thread
+/// that confirmed the commit — and must not block.
+using acquire_callback = std::function<void(const acquire_result&)>;
+using status_callback = std::function<void(lease_status)>;
+using count_callback = std::function<void(std::size_t)>;
+/// The commit gate's completion: true once the mutation is
+/// quorum-committed, false when it never will be (timeout, step-down,
+/// stop).
+using commit_callback = std::function<void(bool)>;
+
 class service {
  public:
   explicit service(service_config config);
@@ -170,8 +189,9 @@ class service {
   service(const service&) = delete;
   service& operator=(const service&) = delete;
 
-  /// A client handle bound to one pool node. Cheap to copy; all calls
-  /// block the calling thread until the service answers.
+  /// A client handle bound to one pool node. Cheap to copy. The plain
+  /// calls block the calling thread until the service answers; the
+  /// callback forms never block.
   class session {
    public:
     /// One-shot test-and-set on `key`'s current instance: returns won or
@@ -223,6 +243,21 @@ class service {
     /// goodbye: every held lease ends as a disconnect reclaim. Returns
     /// the number of keys reclaimed.
     std::size_t reclaim_all();
+
+    // Completion-style forms of the ops above: same semantics, but the
+    // verdict arrives through `done` instead of blocking this thread. A
+    // protocol election completes on the pool node that ran it; a
+    // commit-gated ack on the replication thread.
+    void try_acquire(const std::string& key, acquire_callback done);
+    void release(const std::string& key, status_callback done);
+    void release(const std::string& key, std::uint64_t epoch,
+                 status_callback done);
+    void renew(const std::string& key, std::uint64_t epoch,
+               status_callback done);
+    void reclaim(const std::string& key, std::uint64_t epoch,
+                 status_callback done);
+    void disconnect(count_callback done);
+    void reclaim_all(count_callback done);
 
     /// Snapshot of the keys this session currently holds. Introspection
     /// for embedders (the network front-end accounts per-connection
@@ -281,6 +316,7 @@ class service {
   /// in the forced_releases metric. The network front-end routes the
   /// admin_force_release wire op through here.
   lease_status force_release(const std::string& key);
+  void force_release(const std::string& key, status_callback done);
 
   /// Subscribe to `key`'s leader transitions (elected / released /
   /// expired / force_released). Returns the subscription id, 0 once the
@@ -314,7 +350,17 @@ class service {
   /// what demotes a zombie's clients before a fenced successor can
   /// double-grant. Install before serving traffic; swapping the gate is
   /// not synchronized against in-flight calls.
-  void set_commit_gate(std::function<bool(const std::string&)> gate) {
+  ///
+  /// This blocking form runs on whichever thread completes the op — a
+  /// network reactor included, which then stalls for the wait. Cluster
+  /// nodes install the completion form below instead.
+  void set_commit_gate(std::function<bool(const std::string&)> gate);
+
+  /// The completion form of the gate: `gate(key, done)` must return at
+  /// once and call `done(committed)` exactly once, later, from any
+  /// thread. Replaces any gate installed before.
+  void set_commit_gate(
+      std::function<void(const std::string&, commit_callback)> gate) {
     commit_gate_ = std::move(gate);
   }
 
@@ -329,8 +375,9 @@ class service {
   }
 
  private:
-  /// One queued acquire. The client thread owns the struct (on its
-  /// stack) and sleeps on `done`; the node's driver fills `result`.
+  /// One queued acquire. Submitted jobs belong to the node's driver,
+  /// which hands the decided result to `on_done` and frees the job;
+  /// stop()'s shutdown jobs stay with stop().
   struct job {
     std::string key;
     int session_id = -1;
@@ -345,11 +392,8 @@ class service {
     /// records its phases against it.
     std::uint64_t trace = 0;
     std::chrono::steady_clock::time_point submitted;
-
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    acquire_result result;
+    /// Runs on the node thread with the decided (ungated) result.
+    std::function<void(acquire_result)> on_done;
   };
 
   /// Per-node job queue + the parked driver coroutine handle. The queue
@@ -405,8 +449,24 @@ class service {
   /// Enqueue `j` on pid's driver. Returns false (without enqueueing) if
   /// the worker is already draining for shutdown.
   [[nodiscard]] bool submit(process_id pid, job& j);
+  /// The client-side half of an acquire: register the attempt and, for
+  /// `adaptive`, try the fast path. Returns the job to hand to a driver,
+  /// or null when the attempt was decided right here (fast path, or
+  /// refused by stop) — then `decided` holds the ungated result.
+  [[nodiscard]] std::unique_ptr<job> start_attempt(int session_id,
+                                                   const std::string& key,
+                                                   acquire_result& decided);
   acquire_result run_acquire(int session_id, process_id pid,
                              const std::string& key);
+  void run_acquire(int session_id, process_id pid, const std::string& key,
+                   acquire_callback done);
+  /// Count and build the answer for an acquire stop() turned away.
+  [[nodiscard]] acquire_result rejected_acquire();
+  /// The blocking forms' body: run a callback-form op and wait for its
+  /// answer. Only for ops that complete inline unless the commit gate
+  /// holds them, so with no gate installed nothing waits.
+  template <typename T, typename Start>
+  T await_gated(Start&& start);
   /// Record the metric (and journal a stale_fence) for a fenced
   /// release/renew outcome and pass the status through.
   lease_status count_lease_op(const std::string& key, lease_status status,
@@ -414,17 +474,17 @@ class service {
   /// Run the commit gate (when installed) over a freshly decided
   /// acquire: a won attempt whose grant never commits is reported as
   /// `connection_lost`, not a win.
-  [[nodiscard]] acquire_result gate_acquire(acquire_result result,
-                                            const std::string& key);
+  void gate_acquire(acquire_result result, const std::string& key,
+                    acquire_callback done);
   /// Same for single-key lease ops: an `ok` that never commits becomes
   /// `connection_lost`.
-  [[nodiscard]] lease_status gate_lease_op(const std::string& key,
-                                           lease_status status);
+  void gate_lease_op(const std::string& key, lease_status status,
+                     status_callback done);
   /// Multi-key variant (disconnect / reclaim_all): the gate is awaited
   /// for command ordering, but the local count is returned regardless —
   /// the leases already ended here, and if the commit fails this node is
   /// being deposed anyway.
-  std::size_t gate_multi_release(std::size_t count);
+  void gate_multi_release(std::size_t count, count_callback done);
   void prune_participated(worker& w);
   void sweeper_main();
   /// The registry's command hook: render one mutation into the watch
@@ -454,7 +514,7 @@ class service {
 
   /// Replication commit gate (cluster mode); empty in single-node use,
   /// where every mutation is trivially durable the moment it applies.
-  std::function<bool(const std::string&)> commit_gate_;
+  std::function<void(const std::string&, commit_callback)> commit_gate_;
   std::atomic<bool> sweeper_suspended_{false};
 
   std::thread sweeper_;

@@ -5,14 +5,23 @@
 // metrics fetch, and the acceptance crash scenario: kill a client
 // socket mid-lease and prove the key is re-grantable via the
 // disconnect-on-close hook (well inside the PR 2 TTL + sweep bound).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
 #include <cstdint>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1081,6 +1090,282 @@ TEST(NetClient, LocalCloseKeepsTheOriginalCrashSemanticsMapping) {
   EXPECT_TRUE(after.rejected);
   EXPECT_FALSE(after.connection_lost);
   EXPECT_EQ(client->release("close/key", 0), svc::lease_status::stale_epoch);
+}
+
+// ---------------------------------------------------------------------
+// One request path: every request is served on its reactor, and a
+// blocking acquire that loses parks as a continuation — no executor
+// queue, no thread per waiter.
+
+/// A bare wire connection: handshake, pipelined sends, and responses in
+/// arrival order (net::client hands them out per request id instead).
+class wire_socket {
+ public:
+  explicit wire_socket(std::uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof addr) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+      return;
+    }
+    const auto hello = net::wire::encode_request(net::wire::make_hello_request());
+    const auto answer =
+        write(hello) ? next(std::chrono::seconds(5)) : std::nullopt;
+    ok_ = answer.has_value() && answer->result == net::wire::status::ok;
+  }
+  ~wire_socket() { close(); }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] int fd() const { return fd_; }
+
+  /// Send one request; returns its id (0 if the write failed).
+  std::uint64_t send(net::wire::op kind, const std::string& key = "",
+                     std::uint64_t epoch = 0, std::uint64_t timeout_ms = 0) {
+    net::wire::request r;
+    r.id = next_id_++;
+    r.kind = kind;
+    r.key = key;
+    r.epoch = epoch;
+    r.timeout_ms = timeout_ms;
+    return write(net::wire::encode_request(r)) ? r.id : 0;
+  }
+
+  /// The next response frame; empty on timeout or EOF.
+  std::optional<net::wire::response> next(std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    for (;;) {
+      if (auto frame = reader_.next()) {
+        return net::wire::decode_response(*frame);
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd pfd{fd_, POLLIN, 0};
+      if (left.count() < 0 ||
+          ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+        return std::nullopt;
+      }
+      std::uint8_t buffer[16 * 1024];
+      const ssize_t got = ::recv(fd_, buffer, sizeof buffer, 0);
+      if (got <= 0) {
+        eof_ = true;
+        return std::nullopt;
+      }
+      if (!reader_.feed(buffer, static_cast<std::size_t>(got))) {
+        return std::nullopt;
+      }
+    }
+  }
+
+  [[nodiscard]] bool eof() const { return eof_; }
+
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  bool write(const std::vector<std::uint8_t>& bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  int fd_ = -1;
+  bool ok_ = false;
+  bool eof_ = false;
+  std::uint64_t next_id_ = 1;
+  net::wire::frame_reader reader_;
+};
+
+/// Block until the server has decoded at least `n` requests.
+void wait_for_requests(const net::server& server, std::uint64_t n) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (server.report().requests < n) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(2ms);
+  }
+}
+
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// The read-pause deadlock: acquires parked on a key their own
+// connection holds used to count toward max_inflight_per_connection, so
+// the socket stopped being read — and the fenced release that would
+// unpark them sat unread behind the pause until the lease TTL (forever
+// here: no TTL). Parked acquires no longer count.
+TEST(NetRemote, ParkedAcquiresDoNotHoldTheReadPauseShut) {
+  remote_stack stack({.nodes = 4, .shards = 2},
+                     {.max_inflight_per_connection = 4});
+  wire_socket conn(stack.server.port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_NE(conn.send(net::wire::op::try_acquire, "pause/key"), 0u);
+  const auto held = conn.next(5s);
+  ASSERT_TRUE(held.has_value());
+  ASSERT_TRUE(held->won());
+
+  constexpr int parked = 6;  // past the cap of 4
+  for (int i = 0; i < parked; ++i) {
+    ASSERT_NE(conn.send(net::wire::op::acquire, "pause/key"), 0u);
+  }
+  wait_for_requests(stack.server, 1 + parked);
+  if (HasFatalFailure()) return;
+
+  const auto released_at = std::chrono::steady_clock::now();
+  const std::uint64_t release_id =
+      conn.send(net::wire::op::release_fenced, "pause/key", held->epoch);
+  ASSERT_NE(release_id, 0u);
+  bool release_answered = false;
+  bool waiter_won = false;
+  while (!(release_answered && waiter_won)) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        released_at + 1s - std::chrono::steady_clock::now());
+    const auto r = conn.next(left);
+    if (!r.has_value()) break;
+    if (r->id == release_id) {
+      EXPECT_EQ(r->result, net::wire::status::ok);
+      release_answered = true;
+    } else if (r->won()) {
+      waiter_won = true;
+    }
+  }
+  EXPECT_TRUE(release_answered) << "release stuck behind the read pause";
+  EXPECT_TRUE(waiter_won) << "no parked acquire won within 1 s";
+}
+
+// A peer that pipelines requests and then resets its socket before the
+// answers leaves the server writing to a dead connection. That must be
+// an EPIPE for the server, never a SIGPIPE for its process — so this
+// runs under the default disposition, where SIGPIPE kills the process.
+TEST(NetRemote, ResetPeerBeforeTheAnswersRaisesNoSigpipe) {
+  const auto previous = std::signal(SIGPIPE, SIG_DFL);
+  remote_stack stack;
+  for (int round = 0; round < 50; ++round) {
+    wire_socket peer(stack.server.port());
+    ASSERT_TRUE(peer.ok());
+    // Metrics answers are a few KiB each: plenty left to write when
+    // the reset lands.
+    for (int i = 0; i < 32; ++i) {
+      ASSERT_NE(peer.send(net::wire::op::metrics), 0u);
+    }
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(peer.fd(), SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof reset),
+              0);
+    peer.close();  // RST, not FIN
+  }
+  // Still alive, and still serving.
+  const auto client = stack.connect();
+  ASSERT_TRUE(client->connected());
+  EXPECT_TRUE(client->try_acquire("sigpipe/after").won);
+  std::signal(SIGPIPE, previous);
+}
+
+// 256 blocking acquires parked on 8 held keys over 4 connections: the
+// server holds them as continuations, so the process gains no thread
+// (the old path ran one per waiter) — and every one of them still wins
+// once the holders let go.
+TEST(NetWaiters, ParkedAcquiresAddNoThreadsAndAllWin) {
+  remote_stack stack({.nodes = 4, .shards = 2});
+  constexpr int keys = 8;
+  constexpr int connections = 4;
+  constexpr int per_connection = 64;
+  const auto holder = stack.connect();
+  ASSERT_TRUE(holder->connected());
+  std::vector<std::uint64_t> held(keys);
+  for (int k = 0; k < keys; ++k) {
+    const auto got = holder->try_acquire("park/" + std::to_string(k));
+    ASSERT_TRUE(got.won);
+    held[static_cast<std::size_t>(k)] = got.epoch;
+  }
+  std::vector<std::unique_ptr<wire_socket>> conns;
+  for (int c = 0; c < connections; ++c) {
+    conns.push_back(std::make_unique<wire_socket>(stack.server.port()));
+    ASSERT_TRUE(conns.back()->ok());
+  }
+
+  const std::size_t threads_before = process_threads();
+  // Per connection: request id -> key, to release each win.
+  std::vector<std::map<std::uint64_t, std::string>> keys_by_id(connections);
+  for (int c = 0; c < connections; ++c) {
+    for (int j = 0; j < per_connection; ++j) {
+      const std::string key =
+          "park/" + std::to_string((c * per_connection + j) % keys);
+      const std::uint64_t id = conns[static_cast<std::size_t>(c)]->send(
+          net::wire::op::acquire, key);
+      ASSERT_NE(id, 0u);
+      keys_by_id[static_cast<std::size_t>(c)][id] = key;
+    }
+  }
+  wait_for_requests(stack.server, keys + connections * per_connection);
+  if (HasFatalFailure()) return;
+  std::this_thread::sleep_for(100ms);  // let the first attempts settle
+  EXPECT_EQ(process_threads(), threads_before);
+  EXPECT_EQ(stack.server.report().busy_rejections, 0u);
+
+  for (int k = 0; k < keys; ++k) {
+    ASSERT_EQ(holder->release("park/" + std::to_string(k),
+                              held[static_cast<std::size_t>(k)]),
+              svc::lease_status::ok);
+  }
+  // Hand every win straight back; each release unparks the next.
+  int wins = 0;
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  while (wins < connections * per_connection &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (int c = 0; c < connections; ++c) {
+      wire_socket& conn = *conns[static_cast<std::size_t>(c)];
+      while (const auto r = conn.next(1ms)) {
+        if (r->kind != net::wire::op::acquire) continue;
+        ASSERT_TRUE(r->won()) << net::wire::to_string(r->result);
+        ++wins;
+        ASSERT_NE(conn.send(net::wire::op::release_fenced,
+                            keys_by_id[static_cast<std::size_t>(c)][r->id],
+                            r->epoch),
+                  0u);
+      }
+    }
+  }
+  EXPECT_EQ(wins, connections * per_connection);
+}
+
+// server.stop() answers every blocking acquire still open — parked
+// ones, timed ones, and any mid-attempt — instead of dropping them.
+TEST(NetWaiters, ServerStopAnswersEveryParkedAcquire) {
+  remote_stack stack({.nodes = 4, .shards = 2});
+  const auto holder = stack.connect();
+  ASSERT_TRUE(holder->try_acquire("stop/key").won);
+  wire_socket conn(stack.server.port());
+  ASSERT_TRUE(conn.ok());
+  constexpr int parked = 8;
+  for (int i = 0; i < parked; ++i) {
+    ASSERT_NE(i % 2 == 0
+                  ? conn.send(net::wire::op::acquire, "stop/key")
+                  : conn.send(net::wire::op::try_acquire_for, "stop/key", 0,
+                              60'000),
+              0u);
+  }
+  wait_for_requests(stack.server, 1 + parked);
+  if (HasFatalFailure()) return;
+  stack.server.stop();
+  int rejected = 0;
+  while (const auto r = conn.next(5s)) {
+    EXPECT_EQ(r->result, net::wire::status::rejected);
+    ++rejected;
+  }
+  EXPECT_TRUE(conn.eof());
+  EXPECT_EQ(rejected, parked);
 }
 
 }  // namespace

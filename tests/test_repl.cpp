@@ -14,8 +14,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "api/client.hpp"
+#include "net/client.hpp"
 #include "cmd/command.hpp"
 #include "cmd/log_entry.hpp"
 #include "net/server.hpp"
@@ -873,6 +876,204 @@ TEST(ReplCluster, LateFollowerCatchesUpViaSnapshotThenSuffix) {
     ASSERT_TRUE(on_late.has_value());
     EXPECT_EQ(on_late->entry.epoch, on_primary->entry.epoch);
     EXPECT_EQ(on_late->leader, on_primary->leader);
+  }
+}
+
+/// One numeric field of a status_json body (0 when absent).
+std::uint64_t status_field(const std::string& json, const std::string& name) {
+  const std::string needle = "\"" + name + "\":";
+  const auto at = json.find(needle);
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + needle.size()));
+}
+
+/// take() with a watchdog: a response that never comes closes the
+/// client (failing the take) instead of hanging the test.
+std::optional<net::wire::response> take_within(net::client& client,
+                                               std::uint64_t id,
+                                               std::chrono::seconds limit) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread guard([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!cv.wait_for(lock, limit, [&] { return done; })) client.close();
+  });
+  auto r = client.take(id);
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    done = true;
+  }
+  cv.notify_all();
+  guard.join();
+  return r;
+}
+
+// A primary severed from its quorum holds a try_acquire at the commit
+// gate for commit_wait_ms. The gate is a continuation on the node's
+// completion list, not a parked thread: a request pipelined behind the
+// gated one on the same connection is answered at once.
+TEST(ReplCluster, CommitGateParksNoReactor) {
+  cluster_harness cluster(3);
+  cluster.base.commit_wait_ms = 2000;
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  for (int i = 0; i < 3; ++i) {
+    if (i != p) cluster.stop_member(i);
+  }
+  // Nothing deposes it, but nothing it grants can commit either.
+  ASSERT_TRUE(cluster.nodes[static_cast<std::size_t>(p)]->is_primary());
+
+  net::client conn("127.0.0.1", cluster.ports[static_cast<std::size_t>(p)]);
+  ASSERT_TRUE(conn.connected());
+  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t gated =
+      conn.submit(net::wire::op::try_acquire, "gate/key");
+  const std::uint64_t status =
+      conn.submit(net::wire::op::admin_cluster_status);
+  ASSERT_NE(gated, 0u);
+  ASSERT_NE(status, 0u);
+  const auto st = take_within(conn, status, 10s);
+  const auto status_after = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->result, net::wire::status::ok);
+  EXPECT_NE(st->body.find("\"role\":\"primary\""), std::string::npos);
+  EXPECT_LT(status_after, 500ms) << "a reactor waited on the commit gate";
+
+  const auto g = take_within(conn, gated, 10s);
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(g->result, net::wire::status::connection_lost);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 1500ms);
+}
+
+// A blocking acquire parked on a primary that is then deposed must not
+// sit out its wait against a follower: the step-down kicks the parked
+// continuation, which re-checks and redirects.
+TEST(ReplCluster, ParkedAcquireOnADeposedPrimaryIsRedirected) {
+  cluster_harness cluster(3);
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  const auto port = cluster.ports[static_cast<std::size_t>(p)];
+  net::client holder("127.0.0.1", port);
+  net::client waiter("127.0.0.1", port);
+  ASSERT_TRUE(holder.connected());
+  ASSERT_TRUE(waiter.connected());
+  ASSERT_TRUE(holder.try_acquire("demote/key").won);
+  const std::uint64_t parked = waiter.submit(net::wire::op::acquire,
+                                             "demote/key");
+  ASSERT_NE(parked, 0u);
+  auto& server = *cluster.servers[static_cast<std::size_t>(p)];
+  const auto armed_by = std::chrono::steady_clock::now() + 5s;
+  while (server.report().requests < 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), armed_by);
+    std::this_thread::sleep_for(5ms);
+  }
+  std::this_thread::sleep_for(50ms);  // let the acquire lose and park
+
+  // A vote at a higher term deposes the primary on the spot.
+  repl::node& node = *cluster.nodes[static_cast<std::size_t>(p)];
+  vote_req v;
+  v.term = node.current_term() + 1;
+  v.candidate = (p + 1) % 3;
+  v.last_log_index = 1u << 30;
+  v.last_log_term = 1u << 30;
+  const auto deposed_at = std::chrono::steady_clock::now();
+  (void)node.handle_peer(peer_request(net::wire::op::peer_vote, v));
+  const auto r = take_within(waiter, parked, 10s);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->result, net::wire::status::not_primary);
+  EXPECT_LT(std::chrono::steady_clock::now() - deposed_at, 1s);
+}
+
+// Followers compact too: a follower whose applied index has caught up
+// with its commit index snapshots its registry and drops the prefix, so
+// its log stays bounded instead of growing for its whole life. A
+// compacted follower that is later promoted still brings a restarted
+// member up to date through its own snapshot plus the suffix.
+TEST(ReplCluster, FollowersCompactAndAPromotedOneStillCatchesUpARestart) {
+  constexpr std::uint64_t threshold = 8;
+  cluster_harness cluster(3, /*lease_ttl_ms=*/0, /*fence_bump=*/1000,
+                          threshold);
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  {
+    api::client client(cluster.endpoints_csv());
+    ASSERT_TRUE(client.connected());
+    for (int i = 0; i < 40; ++i) {
+      auto got = client.try_acquire("compact/" + std::to_string(i % 5));
+      ASSERT_TRUE(got.won());
+      ASSERT_EQ(got.lease.release(), api::lease_status::ok);
+    }
+  }
+  const auto quiet_by = std::chrono::steady_clock::now() + 15s;
+  const auto compacted = [&](int i) {
+    const auto& n = cluster.nodes[static_cast<std::size_t>(i)];
+    return n->counters().compactions > 0 &&
+           status_field(n->status_json(), "log_entries") < threshold;
+  };
+  for (int i = 0; i < 3; ++i) {
+    while (!compacted(i) && std::chrono::steady_clock::now() < quiet_by) {
+      std::this_thread::sleep_for(20ms);
+    }
+    EXPECT_TRUE(compacted(i))
+        << "member " << i << ": "
+        << cluster.nodes[static_cast<std::size_t>(i)]->status_json();
+  }
+
+  // Promote a compacted follower by stopping the primary.
+  cluster.stop_member(p);
+  int q = -1;
+  const auto promote_by = std::chrono::steady_clock::now() + 15s;
+  while (std::chrono::steady_clock::now() < promote_by) {
+    q = cluster.primary();
+    if (q >= 0 && q != p) break;
+    std::this_thread::sleep_for(20ms);
+  }
+  ASSERT_GE(q, 0);
+  ASSERT_NE(q, p);
+  {
+    api::client client(cluster.endpoints_csv());
+    ASSERT_TRUE(client.connected());
+    for (int i = 0; i < 3; ++i) {
+      auto got = client.try_acquire("suffix/" + std::to_string(i));
+      ASSERT_TRUE(got.won());
+      ASSERT_EQ(got.lease.release(), api::lease_status::ok);
+    }
+  }
+
+  // Restart the old primary empty: the compacted log cannot replay it
+  // from index 1, so it must take the snapshot, then the suffix.
+  cluster.stopped.erase(p);
+  cluster.start_member(p);
+  ASSERT_FALSE(HasFatalFailure());
+  auto* restarted = cluster.nodes[static_cast<std::size_t>(p)].get();
+  const auto caught_up = [&] {
+    const int leader = cluster.primary();
+    return leader >= 0 && leader != p &&
+           restarted->counters().snapshots_installed > 0 &&
+           restarted->commit_index() ==
+               cluster.nodes[static_cast<std::size_t>(leader)]->commit_index();
+  };
+  const auto catch_up_by = std::chrono::steady_clock::now() + 15s;
+  while (!caught_up() && std::chrono::steady_clock::now() < catch_up_by) {
+    std::this_thread::sleep_for(20ms);
+  }
+  ASSERT_TRUE(caught_up()) << restarted->status_json();
+  const int leader = cluster.primary();
+  for (const std::string key :
+       {"compact/0", "compact/4", "suffix/0", "suffix/2"}) {
+    const auto on_leader =
+        cluster.services[static_cast<std::size_t>(leader)]->registry().inspect(
+            key);
+    const auto on_restarted =
+        cluster.services[static_cast<std::size_t>(p)]->registry().inspect(key);
+    ASSERT_TRUE(on_leader.has_value()) << key;
+    ASSERT_TRUE(on_restarted.has_value()) << key;
+    EXPECT_EQ(on_restarted->entry.epoch, on_leader->entry.epoch) << key;
+    EXPECT_EQ(on_restarted->leader, on_leader->leader) << key;
   }
 }
 
